@@ -31,7 +31,7 @@ from repro.accelos.sharing import (AllocationMemo, KernelRequirements,
                                    compute_allocations)
 from repro.accelos.transform import AccelOSTransform
 from repro.errors import SimulationError
-from repro.sim import GPUSimulator, fast_path_enabled
+from repro.sim import GPUSimulator
 from repro.workloads.parboil import (PROFILE_NAMES, compiled_module,
                                      profile_by_name)
 
@@ -156,39 +156,30 @@ def requirements_from_spec(spec):
         total_groups=spec.total_groups)
 
 
-def sharing_allocator(device, saturate=True, memo=None):
+def solo_groups(spec, device, saturate=True):
+    """Physical groups the §3 algorithm gives ``spec`` alone on ``device``."""
+    return compute_allocations([requirements_from_spec(spec)], device,
+                               saturate=saturate)[0].groups
+
+
+def sharing_allocator(device, saturate=True):
     """An allocator callback for :meth:`GPUSimulator.run_open`.
 
     Wraps the §3 sharing algorithm: given the specs of the currently-active
-    kernels, returns their physical-group targets.
-
-    ``memo=True`` routes repeats of an active multiset through an
-    order-insensitive :class:`~repro.accelos.sharing.AllocationMemo`
-    (bit-identical targets, see docs/PERFORMANCE.md); ``None`` follows the
-    engine fast-path default so :func:`repro.sim.gpu.reference_path` also
-    disables the memo for A/B baselines.  The memo object is exposed as
-    ``allocate.memo`` for hit/miss instrumentation.
+    kernels, returns their physical-group targets.  Repeats of an active
+    multiset are answered by an order-insensitive
+    :class:`~repro.accelos.sharing.AllocationMemo` (see
+    docs/PERFORMANCE.md).
     """
-    use_memo = fast_path_enabled() if memo is None else bool(memo)
-    if not use_memo:
-        def allocate(specs):
-            requirements = [requirements_from_spec(s) for s in specs]
-            allocations = compute_allocations(requirements, device,
-                                              saturate=saturate)
-            return [a.groups for a in allocations]
-        return allocate
-
-    memo_obj = AllocationMemo(device, saturate=saturate)
+    memo = AllocationMemo(device, saturate=saturate)
 
     def allocate(specs):
         # spec fields are already int-coerced, so these tuples equal the
         # requirement_key() of the KernelRequirements built on a miss
         keys = [(s.name, s.wg_threads, s.local_mem_per_wg,
                  s.registers_per_thread, s.total_groups) for s in specs]
-        return memo_obj.groups_for_keyed(
+        return memo.groups_for_keyed(
             keys, lambda: [requirements_from_spec(s) for s in specs])
-
-    allocate.memo = memo_obj
     return allocate
 
 

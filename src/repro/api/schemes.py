@@ -37,12 +37,11 @@ from repro.accelos.adaptive import SchedulingPolicy, effective_chunk
 from repro.accelos.sharing import compute_allocations
 from repro.api.kernels import (base_spec, chunk_for_profile, detailed_spec,
                                isolated_time, requirements_from_spec,
-                               sharing_allocator)
+                               sharing_allocator, solo_groups)
 from repro.api.registry import Registry
 from repro.baselines.elastic_kernels import ElasticKernelsScheduler
 from repro.errors import SimulationError
-from repro.sim import (ExecutionMode, GPUSimulator, QueuedRequest,
-                       fast_path_enabled)
+from repro.sim import ExecutionMode, GPUSimulator, QueuedRequest
 from repro.workloads.parboil import profile_by_name
 
 
@@ -122,7 +121,8 @@ class GpuOpenSession:
 
     @property
     def events_processed(self):
-        """Simulator events processed so far (bench_engine's denominator)."""
+        """Simulator events processed so far (the denominator of
+        events/sec)."""
         return self._sim.events_processed
 
     def queued(self):
@@ -439,8 +439,7 @@ class AccelOSScheme(SchedulingScheme):
         count itself is re-decided by the allocator as the active set
         changes."""
         base = base_spec(arrival.name)
-        solo = compute_allocations([requirements_from_spec(base)], device,
-                                   saturate=saturate)[0].groups
+        solo = solo_groups(base, device, saturate=saturate)
         chunk = effective_chunk(
             chunk_for_profile(profile_by_name(arrival.name), policy),
             base.total_groups, solo)
@@ -478,17 +477,11 @@ class AccelOSScheme(SchedulingScheme):
                      saturate=True):
         # admission_spec is a pure function of the kernel name for a
         # fixed (device, policy, saturate) — everything but the arrival
-        # time.  The fast path memoises it per name so repeat requests
-        # skip the solo allocation + chunk derivation; the reference
-        # path rebuilds every spec, as the original code did.  Decided
-        # at session construction, like every other fast/ref gate.
-        spec_cache = {} if fast_path_enabled() else None
+        # time — so repeat requests reuse one spec per name and skip the
+        # solo allocation + chunk derivation.
+        spec_cache = {}
 
         def build(arrival, time):
-            if spec_cache is None:
-                return self.admission_spec(arrival, device, policy=policy,
-                                           saturate=saturate) \
-                           .with_arrival(time)
             spec = spec_cache.get(arrival.name)
             if spec is None:
                 spec = self.admission_spec(arrival, device, policy=policy,
@@ -510,14 +503,12 @@ class AccelOSScheme(SchedulingScheme):
     def run_single(self, name, device, policy=SchedulingPolicy.ADAPTIVE):
         spec = detailed_spec(name)
         iso = GPUSimulator(device).run([spec]).makespan
-        allocation = compute_allocations([requirements_from_spec(spec)],
-                                         device)[0]
+        groups = solo_groups(spec, device)
         chunk = effective_chunk(
             chunk_for_profile(profile_by_name(name), policy),
-            spec.total_groups, allocation.groups)
+            spec.total_groups, groups)
         accel = spec.with_mode(ExecutionMode.ACCELOS,
-                               physical_groups=allocation.groups,
-                               chunk=chunk)
+                               physical_groups=groups, chunk=chunk)
         return GPUSimulator(device).run([accel]).makespan, iso
 
 

@@ -281,7 +281,7 @@ class OpenSystemExperiment:
                 "{} requests never finished on {} (conservation "
                 "violated)".format(len(pending), self.device.name))
         # observability only: how many engine events the stream cost
-        # (read by benchmarks/bench_engine.py for events/sec)
+        # (the denominator of events/sec)
         self.events_processed = getattr(session, "events_processed", 0)
         result = OpenSystemResult.from_sink(scheme_obj.name,
                                             self.device.name, sink)
@@ -573,7 +573,7 @@ class FleetOpenSystemExperiment:
 
         simulator.run_stream(arrivals, on_record)
         # observability only: engine events summed over the fleet's
-        # sessions (read by benchmarks/bench_engine.py for events/sec)
+        # sessions (the denominator of events/sec)
         self.events_processed = simulator.events_processed()
         result = FleetOpenSystemResult.from_sinks(
             scheme_obj.name, policy.name, self.fleet, overall,

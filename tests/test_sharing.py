@@ -1,9 +1,11 @@
 """Unit tests for the §3 resource sharing algorithm."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.accelos.sharing import (Allocation, KernelRequirements,
-                                   compute_allocations, thread_imbalance)
+from repro.accelos.sharing import (Allocation, AllocationMemo,
+                                   KernelRequirements, compute_allocations,
+                                   thread_imbalance)
 from repro.cl import nvidia_k20m, amd_r9_295x2
 from repro.errors import SchedulingError
 
@@ -116,6 +118,11 @@ def test_share_ratio_validation():
         compute_allocations([req("a")], dev, share_ratio=[1.0, 2.0])
     with pytest.raises(SchedulingError):
         compute_allocations([req("a")], dev, share_ratio=[-1.0])
+    pair = [req("a"), req("b")]
+    for bad in ([float("nan"), 1.0], [float("inf"), 1.0], [1e308, 1e308]):
+        # the last one is finite per weight, but its sum overflows
+        with pytest.raises(SchedulingError):
+            compute_allocations(pair, dev, share_ratio=bad)
 
 
 def test_weighted_saturation_preserves_ratio():
@@ -169,3 +176,133 @@ def test_allocation_accessors():
     assert allocation.threads == 512
     assert allocation.local_mem == 400
     assert allocation.registers == 4 * 10 * 128
+
+
+# -- properties of the algorithm on arbitrary mixes ---------------------------
+
+REQUIREMENT = st.builds(
+    KernelRequirements,
+    name=st.sampled_from(("bfs", "sgemm", "histo", "mri-q", "sad", "spmv")),
+    wg_threads=st.sampled_from((32, 64, 128, 192, 256)),
+    local_mem_bytes=st.sampled_from((0, 512, 2048, 4096)),
+    registers_per_thread=st.sampled_from((8, 16, 24, 32)),
+    total_groups=st.integers(min_value=1, max_value=400),
+)
+
+
+@st.composite
+def weighted_mixes(draw):
+    requirements = draw(st.lists(REQUIREMENT, min_size=1, max_size=8))
+    share_ratio = draw(st.none() | st.lists(
+        st.floats(min_value=0.01, max_value=100.0),
+        min_size=len(requirements), max_size=len(requirements)))
+    return requirements, share_ratio
+
+
+def _fits(allocations, device):
+    return (sum(a.threads for a in allocations) <= device.max_threads
+            and sum(a.local_mem for a in allocations)
+            <= device.total_local_mem
+            and sum(a.registers for a in allocations)
+            <= device.total_registers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mix=weighted_mixes(),
+       device_factory=st.sampled_from((nvidia_k20m, amd_r9_295x2)),
+       saturate=st.booleans())
+def test_allocations_fit_and_saturate(mix, device_factory, saturate):
+    requirements, share_ratio = mix
+    device = device_factory()
+    allocations = compute_allocations(requirements, device,
+                                      saturate=saturate,
+                                      share_ratio=share_ratio)
+    assert [a.requirements for a in allocations] == requirements
+    assert _fits(allocations, device)
+    for a in allocations:
+        assert 1 <= a.groups <= a.requirements.total_groups
+    if saturate:
+        # saturated: no single allocation can take one more group
+        for a in allocations:
+            if a.groups == a.requirements.total_groups:
+                continue
+            a.groups += 1
+            assert not _fits(allocations, device)
+            a.groups -= 1
+
+
+# -- the allocation memo ------------------------------------------------------
+
+def _mix():
+    return [
+        KernelRequirements("histo", 128, 2048, 16, 120),
+        KernelRequirements("sgemm", 256, 0, 32, 300),
+        KernelRequirements("bfs", 64, 512, 8, 80),
+    ]
+
+
+def test_memo_results_match_compute_allocations():
+    device = nvidia_k20m()
+    memo = AllocationMemo(device)
+    requirements = _mix()
+    groups = memo.groups_for(requirements)
+    expected = [a.groups
+                for a in compute_allocations(requirements, device)]
+    assert list(groups) == expected
+
+
+def test_memo_hit_and_miss_bookkeeping():
+    memo = AllocationMemo(nvidia_k20m())
+    requirements = _mix()
+    memo.groups_for(requirements)
+    assert (memo.misses, memo.hits) == (1, 0)
+    memo.groups_for(requirements)
+    assert (memo.misses, memo.hits) == (1, 1)
+    memo.groups_for(requirements[:2])       # novel multiset: a miss
+    assert (memo.misses, memo.hits) == (2, 1)
+
+
+# corpus-style draws for the memo: one name maps to exactly one
+# footprint (the memo's documented precondition — engine requirements
+# come from a fixed kernel corpus, so equal names mean equal keys;
+# only total-group duplicates of whole profiles occur)
+PROFILES = {
+    "bfs": (64, 512, 8, 80),
+    "sgemm": (256, 0, 32, 300),
+    "histo": (128, 2048, 16, 120),
+    "mri-q": (192, 0, 24, 220),
+    "sad": (32, 4096, 8, 50),
+}
+
+
+def _profile_requirement(name):
+    wg_threads, lmem, regs, total_groups = PROFILES[name]
+    return KernelRequirements(name, wg_threads, lmem, regs, total_groups)
+
+
+CORPUS_REQUIREMENT = st.sampled_from(sorted(PROFILES)).map(
+    _profile_requirement)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    requirements=st.lists(CORPUS_REQUIREMENT, min_size=1, max_size=6),
+    shuffle_seed=st.randoms(use_true_random=False),
+)
+def test_memo_is_order_insensitive(requirements, shuffle_seed):
+    """Any permutation of one corpus multiset hits the same entry and
+    gets the same per-requirement group counts (aligned to its own
+    order)."""
+    device = nvidia_k20m()
+    memo = AllocationMemo(device)
+    first = memo.groups_for(requirements)
+    assert list(first) \
+        == [a.groups for a in compute_allocations(requirements, device)]
+    shuffled = list(requirements)
+    shuffle_seed.shuffle(shuffled)
+    again = memo.groups_for(shuffled)
+    assert memo.misses == 1     # the permutation is a hit, not a re-plan
+    # the replayed entry must equal a fresh computation on the *shuffled*
+    # order — replay is undetectable
+    assert list(again) \
+        == [a.groups for a in compute_allocations(shuffled, device)]

@@ -37,11 +37,10 @@ D107     process identity (``os.getpid``, ``threading.get_ident``,
          keys go through ``hashlib`` over canonical JSON
 D108     module-level or default-argument memo/cache containers in the
          engine planes (``sim/``, ``accelos/``) — memo state that
-         outlives one simulation leaks results across runs and across
-         the fast/reference A/B legs; memos must live on an instance
-         created per run (``self._cache = {}`` in ``__init__``), keyed
-         on their full inputs (see :class:`repro.accelos.sharing
-         .AllocationMemo`)
+         outlives one simulation leaks results across runs; memos
+         must live on an instance created per run (``self._cache = {}``
+         in ``__init__``), keyed on their full inputs (see
+         :class:`repro.accelos.sharing.AllocationMemo`)
 =======  ====================================================================
 """
 
@@ -356,8 +355,7 @@ class MemoStateChecker(Checker):
         for pyfile in ctx.python_files(*self.roots):
             # module-level memo/cache containers: shared by every
             # simulation in the process, so a replay is only identical
-            # if the first run already populated them the same way —
-            # and the fast/reference A/B legs would observe each other
+            # if the first run already populated them the same way
             for node in pyfile.tree.body:
                 targets = ()
                 if isinstance(node, ast.Assign):
@@ -374,8 +372,7 @@ class MemoStateChecker(Checker):
                             pyfile.relpath, node.lineno, "D108",
                             "module-level memo container {!r} outlives "
                             "the simulation and leaks results across "
-                            "runs (and across the fast/reference A/B "
-                            "legs); hold memo state on an instance "
+                            "runs; hold memo state on an instance "
                             "created per run, keyed on its full inputs"
                             .format(target.id))
             # mutable default arguments: one shared container per
