@@ -1,41 +1,26 @@
-"""A/B equivalence suite for the event-engine fast path (PR 10).
+"""The committed goldens, reproduced through both ways of driving the
+engine.
 
-The open-system engine has two switchable implementations of every
-per-event decision procedure: the optimised fast path (incremental
-admission totals, allocation memo, indexed pending slots — the
-default) and the original reference scans (``reference_path()``).
-The optimisation contract is **zero behavioural drift**: both paths
-must produce bit-identical traces, records, and metrics on *every*
-stream, not just the benchmarked one.  This suite pins that contract
-
-* against the four committed golden traces (each path must equal the
-  fixture, not merely each other),
-* across randomised scenario x scheme x load draws (hypothesis),
-* through withdraw/migration interleavings (a work-stealing fleet,
-  where runs are withdrawn from one device mid-flight and replayed
-  on another),
-* through the spec driver (``run(spec)`` on the committed smoke spec
-  must reproduce the committed result golden under *both* paths),
-
-and pins the memo machinery itself: ``_compute_allocations_incremental``
-must equal ``compute_allocations`` on random requirement mixes, and
-``AllocationMemo`` must be order-insensitive with exact hit/miss
-bookkeeping.
+Every open-system scheme can be run in two ways: in one batch call
+(``scheme_records``, which hands the whole stream to ``run_open``) and
+incrementally, one submit and one event at a time, through the scheme's
+``open_session`` (the plane streaming runs and online fleets use).  Both
+must reproduce the four committed golden traces exactly, not merely
+agree with each other.  The spec driver likewise has two ways to a
+result — computing each cell, or replaying it from the content-addressed
+cache — and both must reproduce the committed smoke-spec metrics.
 """
 
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.accelos.sharing import (AllocationMemo, KernelRequirements,
-                                   _compute_allocations_incremental,
-                                   compute_allocations)
 from repro.api import ExperimentSpec, run
-from repro.cl import amd_r9_295x2, derated_device, nvidia_k20m
-from repro.harness import FleetOpenSystemExperiment, OpenSystemExperiment
-from repro.sim import DeviceFleet, fast_path_enabled, reference_path
+from repro.api.cache import ResultCache
+from repro.api.schemes import scheme_from_name
+from repro.cl import amd_r9_295x2, nvidia_k20m
+from repro.harness import OpenSystemExperiment
 from repro.workloads import from_name
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -45,22 +30,40 @@ TRACE_COUNT = 6
 TRACE_LOAD = 1.0
 
 
-def _trace_payload(device, scheme):
-    """Same shape as tests/test_golden_traces.py builds the fixtures."""
-    stream = from_name("steady", seed=TRACE_SEED, load=TRACE_LOAD,
-                       count=TRACE_COUNT, device=device)
-    records = OpenSystemExperiment(device).scheme_records(stream, scheme)
+def _stream(device):
+    """Same stream as tests/test_golden_traces.py builds the fixtures on."""
+    return from_name("steady", seed=TRACE_SEED, load=TRACE_LOAD,
+                     count=TRACE_COUNT, device=device)
+
+
+def _batch_payload(device, scheme):
+    records = OpenSystemExperiment(device).scheme_records(_stream(device),
+                                                          scheme)
     return [[r.name, r.arrival, r.start, r.finish] for r in records]
 
 
-def test_fast_path_is_the_default():
-    assert fast_path_enabled()
-    with reference_path():
-        assert not fast_path_enabled()
-    assert fast_path_enabled()
+def _session_payload(device, scheme):
+    """Drive the scheme's session the way a streaming run does: advance
+    strictly before each arrival, submit it, then drain."""
+    arrivals = _stream(device)
+    session = scheme_from_name(scheme).open_session(device)
+    timings = {}
+    for key, arrival in enumerate(arrivals):
+        while session.peek() is not None \
+                and session.peek() < arrival.time:
+            session.step()
+        for done, start, finish in session.harvest():
+            timings[done] = (start, finish)
+        session.submit(key, arrival, arrival.time)
+    while session.peek() is not None:
+        session.step()
+    for done, start, finish in session.harvest():
+        timings[done] = (start, finish)
+    assert sorted(timings) == list(range(len(arrivals))), \
+        "every request finishes exactly once"
+    return [[a.name, a.time, *timings[key]]
+            for key, a in enumerate(arrivals)]
 
-
-# -- the four committed golden traces, under both paths -----------------------
 
 @pytest.mark.parametrize("fixture, device_factory, scheme", [
     ("trace_fifo_baseline.json", nvidia_k20m, "baseline"),
@@ -71,68 +74,13 @@ def test_fast_path_is_the_default():
 def test_both_paths_reproduce_the_golden_trace(fixture, device_factory,
                                                scheme):
     stored = json.loads((GOLDEN_DIR / fixture).read_text(encoding="utf-8"))
-    fast = _trace_payload(device_factory(), scheme)
-    with reference_path():
-        reference = _trace_payload(device_factory(), scheme)
-    assert fast == stored, "fast path drifted from golden " + fixture
-    assert reference == stored, \
-        "reference path drifted from golden " + fixture
+    batch = _batch_payload(device_factory(), scheme)
+    session = _session_payload(device_factory(), scheme)
+    assert batch == stored, "batch path drifted from golden " + fixture
+    assert session == stored, "session path drifted from golden " + fixture
 
 
-# -- randomised scenario x scheme x load draws --------------------------------
-
-@settings(max_examples=12, deadline=None)
-@given(
-    scenario=st.sampled_from(("steady", "bursty", "diurnal", "heavy-tailed",
-                              "heavy-lognormal", "multi-tenant")),
-    scheme=st.sampled_from(("baseline", "ek", "accelos")),
-    load=st.sampled_from((0.5, 0.9, 1.3)),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_random_streams_are_path_invariant(scenario, scheme, load, seed):
-    device = nvidia_k20m()
-    stream = from_name(scenario, seed=seed, load=load, count=24,
-                       device=device)
-    fast = OpenSystemExperiment(device).scheme_records(stream, scheme)
-    with reference_path():
-        reference = OpenSystemExperiment(device).scheme_records(stream,
-                                                                scheme)
-    assert [(r.name, r.arrival, r.start, r.finish) for r in fast] \
-        == [(r.name, r.arrival, r.start, r.finish) for r in reference]
-
-
-# -- withdraw/migration interleavings -----------------------------------------
-
-def _stealing_fleet():
-    return DeviceFleet([
-        ("fast", nvidia_k20m()),
-        ("slow", derated_device(nvidia_k20m(), "K20m-derated", 0.4)),
-    ])
-
-
-@pytest.mark.parametrize("seed", [2016, 7, 23])
-def test_work_stealing_migrations_are_path_invariant(seed):
-    """Work stealing withdraws queued runs from a busy device and
-    replays them elsewhere — the interleaving that exercises
-    ``open_withdraw`` tombstones against the indexed pending state."""
-    def one_run():
-        stream = from_name("multi-tenant", seed=seed, load=1.5, count=48,
-                           device=nvidia_k20m())
-        experiment = FleetOpenSystemExperiment(_stealing_fleet())
-        return experiment.run_stream(iter(stream), "accelos",
-                                     "least-loaded", mode="online",
-                                     rebalance="work-stealing")
-    fast = one_run()
-    with reference_path():
-        reference = one_run()
-    assert repr(vars(fast)) == repr(vars(reference))
-    assert fast.migrations == reference.migrations
-    assert fast.rebalances == reference.rebalances
-
-
-# -- the committed smoke spec through the driver ------------------------------
-
-def test_spec_smoke_golden_holds_under_both_paths():
+def test_spec_smoke_golden_holds_under_both_paths(tmp_path):
     spec = ExperimentSpec.from_json(
         (GOLDEN_DIR / "spec_smoke.json").read_text(encoding="utf-8"))
     golden = json.loads(
@@ -145,114 +93,10 @@ def test_spec_smoke_golden_holds_under_both_paths():
                          for metric in metrics}
                 for scheme, metrics in expected.items()}
 
-    fast = metric_cells(run(spec, cache=False))
-    with reference_path():
-        reference = metric_cells(run(spec, cache=False))
-    assert fast == expected
-    assert reference == expected
-
-
-# -- the incremental allocator against the reference algorithm ----------------
-
-REQUIREMENT = st.builds(
-    KernelRequirements,
-    name=st.sampled_from(("bfs", "sgemm", "histo", "mri-q", "sad", "spmv")),
-    wg_threads=st.sampled_from((32, 64, 128, 192, 256)),
-    local_mem_bytes=st.sampled_from((0, 512, 2048, 4096)),
-    registers_per_thread=st.sampled_from((8, 16, 24, 32)),
-    total_groups=st.integers(min_value=1, max_value=400),
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    requirements=st.lists(REQUIREMENT, min_size=1, max_size=8),
-    device_factory=st.sampled_from((nvidia_k20m, amd_r9_295x2)),
-    saturate=st.booleans(),
-)
-def test_incremental_allocator_matches_reference(requirements,
-                                                 device_factory, saturate):
-    device = device_factory()
-    reference = compute_allocations(requirements, device, saturate=saturate)
-    incremental = _compute_allocations_incremental(requirements, device,
-                                                   saturate)
-    assert [a.groups for a in incremental] \
-        == [a.groups for a in reference]
-    assert [a.requirements is r for a, r in zip(incremental, requirements)]
-
-
-# -- the memo itself ----------------------------------------------------------
-
-def _mix():
-    return [
-        KernelRequirements("histo", 128, 2048, 16, 120),
-        KernelRequirements("sgemm", 256, 0, 32, 300),
-        KernelRequirements("bfs", 64, 512, 8, 80),
-    ]
-
-
-def test_memo_results_match_compute_allocations():
-    device = nvidia_k20m()
-    memo = AllocationMemo(device)
-    requirements = _mix()
-    groups = memo.groups_for(requirements)
-    expected = [a.groups
-                for a in compute_allocations(requirements, device)]
-    assert list(groups) == expected
-
-
-def test_memo_hit_and_miss_bookkeeping():
-    memo = AllocationMemo(nvidia_k20m())
-    requirements = _mix()
-    memo.groups_for(requirements)
-    assert (memo.misses, memo.hits) == (1, 0)
-    memo.groups_for(requirements)
-    assert (memo.misses, memo.hits) == (1, 1)
-    memo.groups_for(requirements[:2])       # novel multiset: a miss
-    assert (memo.misses, memo.hits) == (2, 1)
-
-
-# corpus-style draws for the memo: one name maps to exactly one
-# footprint (the memo's documented precondition — engine requirements
-# come from a fixed kernel corpus, so equal names mean equal keys;
-# only total-group duplicates of whole profiles occur)
-PROFILES = {
-    "bfs": (64, 512, 8, 80),
-    "sgemm": (256, 0, 32, 300),
-    "histo": (128, 2048, 16, 120),
-    "mri-q": (192, 0, 24, 220),
-    "sad": (32, 4096, 8, 50),
-}
-
-
-def _profile_requirement(name):
-    wg_threads, lmem, regs, total_groups = PROFILES[name]
-    return KernelRequirements(name, wg_threads, lmem, regs, total_groups)
-
-
-CORPUS_REQUIREMENT = st.sampled_from(sorted(PROFILES)).map(
-    _profile_requirement)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    requirements=st.lists(CORPUS_REQUIREMENT, min_size=1, max_size=6),
-    shuffle_seed=st.randoms(use_true_random=False),
-)
-def test_memo_is_order_insensitive(requirements, shuffle_seed):
-    """Any permutation of one corpus multiset hits the same entry and
-    gets the same per-requirement group counts (aligned to its own
-    order)."""
-    device = nvidia_k20m()
-    memo = AllocationMemo(device)
-    first = memo.groups_for(requirements)
-    assert list(first) \
-        == [a.groups for a in compute_allocations(requirements, device)]
-    shuffled = list(requirements)
-    shuffle_seed.shuffle(shuffled)
-    again = memo.groups_for(shuffled)
-    assert memo.misses == 1     # the permutation is a hit, not a re-plan
-    # the replayed entry must equal what a fresh reference computation
-    # on the *shuffled* order would produce — replay is undetectable
-    assert list(again) \
-        == [a.groups for a in compute_allocations(shuffled, device)]
+    cache = ResultCache(tmp_path / "cache")
+    computed = metric_cells(run(spec, cache_dir=cache))
+    assert (cache.hits, cache.stores) == (0, len(expected))
+    replayed = metric_cells(run(spec, cache_dir=cache))
+    assert cache.hits == len(expected), "second run replays every cell"
+    assert computed == expected
+    assert replayed == expected
