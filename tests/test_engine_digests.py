@@ -20,7 +20,13 @@ The corpus covers the regimes the engine's bookkeeping can get wrong:
   timing simulator;
 * ``burst/...`` — 5000 bursty multi-tenant §8.5 small-kernel requests
   at 1.4x an 0.8 load, on one device and on a two-device fleet: the
-  deep pending-slot regime, through the harvesting session loop.
+  deep pending-slot regime, through the harvesting session loop;
+* ``offline/...`` — a fast/slow fleet under the three offline placement
+  policies with ``mode="offline"``: placement decisions and records;
+* ``attributed/...`` — a single-device exact run with an attribution
+  ledger: records and the ledger's report;
+* ``exact-fleet/...`` — exact fleet runs under least-loaded placement,
+  with and without work-stealing re-balancing.
 
 Regenerating
 ------------
@@ -43,15 +49,20 @@ import pytest
 
 from repro.accelos import AccelOSRuntime
 from repro.accelos.adaptive import effective_chunk
+from repro.accelos.placement import (AffinityPlacement,
+                                     LeastLoadedPlacement,
+                                     RoundRobinPlacement)
 from repro.accelos.sharing import compute_allocations
 from repro.api.kernels import (base_spec, chunk_for_profile,
                                requirements_from_spec)
+from repro.attribution import AttributionLedger
 from repro.cl import NDRange, amd_r9_295x2, derated_device, nvidia_k20m
-from repro.harness import FleetOpenSystemExperiment, OpenSystemExperiment
+from repro.harness import (FleetOpenSystemExperiment, OpenSystemExperiment,
+                           fleet_arrival_rate_for_load)
 from repro.kernelc import types as T
 from repro.metrics.sketches import StreamingRecordSink
 from repro.sim import DeviceFleet, ExecutionMode, GPUSimulator
-from repro.workloads import calibrated_model, from_name
+from repro.workloads import calibrated_model, from_name, scenario
 from repro.workloads.parboil import profile_by_name
 
 GOLDEN = Path(__file__).parent / "goldens" / "engine_digests.json"
@@ -281,6 +292,67 @@ def _burst_fleet_case():
             "events": experiment.events_processed}
 
 
+# -- offline placement, attribution and exact fleet runs ----------------------
+
+OFFLINE_POLICIES = {"round-robin": RoundRobinPlacement,
+                    "least-loaded": LeastLoadedPlacement,
+                    "affinity": AffinityPlacement}
+
+
+def _hetero_fleet():
+    return DeviceFleet([
+        ("fast", nvidia_k20m()),
+        ("slow", derated_device(nvidia_k20m(), "K20m-derated",
+                                clock_scale=0.4, cu_scale=0.5)),
+    ])
+
+
+def _fleet_result_payload(result):
+    return {"decisions": [[d.index, d.penalty, d.pinned]
+                          for d in result.decisions],
+            "records": record_tuples(result.overall.records),
+            "per_device": {device_id: record_tuples(device.records)
+                           for device_id, device
+                           in sorted(result.per_device.items())},
+            "migrations": result.migrations,
+            "rebalances": result.rebalances}
+
+
+def _offline_case(scheme, policy):
+    fleet = _hetero_fleet()
+    rate = fleet_arrival_rate_for_load(1.5, fleet)
+    stream = scenario("multi-tenant").generate(rate, 40, seed=2016)
+    result = FleetOpenSystemExperiment(fleet).run(
+        stream, scheme, OFFLINE_POLICIES[policy](), mode="offline")
+    return _fleet_result_payload(result)
+
+
+def _attributed_case(scheme):
+    device = nvidia_k20m()
+    stream = from_name("multi-tenant", seed=2016, load=1.2, count=32,
+                       device=device)
+    ledger = AttributionLedger([device.name])
+    result = OpenSystemExperiment(device).run(stream, scheme, ledger=ledger)
+    return {"records": record_tuples(result.records),
+            "attribution": result.attribution.to_dict()}
+
+
+def _exact_fleet_case(scheme):
+    # seed and load chosen so baseline and EK each steal once
+    fleet = DeviceFleet([
+        ("fast", nvidia_k20m()),
+        ("slow", derated_device(nvidia_k20m(), "K20m-derated", 0.4)),
+    ])
+    stream = from_name("multi-tenant", seed=1, load=2.5, count=40,
+                       device=nvidia_k20m())
+    experiment = FleetOpenSystemExperiment(fleet)
+    auto = experiment.run(stream, scheme, "least-loaded")
+    stealing = experiment.run(stream, scheme, "least-loaded", mode="online",
+                              rebalance="work-stealing")
+    return {"auto": _fleet_result_payload(auto),
+            "stealing": _fleet_result_payload(stealing)}
+
+
 # -- the corpus ---------------------------------------------------------------
 
 def _cases():
@@ -307,6 +379,13 @@ def _cases():
                 lambda n=name, f=device_factory: _sim_batch_case(n, f))
     cases["burst/device"] = _burst_device_case
     cases["burst/fleet"] = _burst_fleet_case
+    for scheme in SCHEMES:
+        for policy in OFFLINE_POLICIES:
+            cases["offline/{}/{}".format(scheme, policy)] = (
+                lambda a=(scheme, policy): _offline_case(*a))
+        cases["attributed/" + scheme] = lambda s=scheme: _attributed_case(s)
+        cases["exact-fleet/" + scheme] = \
+            lambda s=scheme: _exact_fleet_case(s)
     return cases
 
 
