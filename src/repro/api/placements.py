@@ -104,9 +104,9 @@ def default_policies():
 
     User-registered policies appear here too; one fresh instance per
     call, so shared-cursor state can never leak between experiments.
-    Closed-loop-only (online) policies are excluded — they cannot drive
-    :func:`repro.accelos.placement.place_arrivals`; list them via
-    :func:`placement_names` + :func:`is_online_placement` instead.
+    Closed-loop-only (online) policies are excluded — they cannot run
+    in ``mode="offline"``; list them via :func:`placement_names` +
+    :func:`is_online_placement` instead.
     """
     policies = {name: placement_from_name(name)
                 for name in placement_names()}

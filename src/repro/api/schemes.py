@@ -7,8 +7,10 @@ benchmark.  Here a scheme is an *object* owning all of its execution
 logic, and the registry is the single source of truth for which schemes
 exist:
 
-* :meth:`SchedulingScheme.open_records` — per-request
-  :class:`RequestRecord` timing of one arrival stream (the open system);
+* :meth:`SchedulingScheme.open_session` — one device's incremental
+  open-system session (the open system); per-request
+  :class:`RequestRecord` timing of a whole stream,
+  :meth:`SchedulingScheme.open_records`, is derived from it;
 * :meth:`SchedulingScheme.run_closed` — one closed-batch repetition
   (everything submitted at t=0, the paper's §7.2 methodology);
 * :meth:`SchedulingScheme.run_single` — single-kernel studies (fig. 15),
@@ -25,13 +27,12 @@ harness (:class:`~repro.harness.open_system.OpenSystemExperiment`,
 :class:`~repro.harness.open_system.FleetOpenSystemExperiment`,
 :func:`~repro.harness.experiment.run_workload`), the declarative
 ``run(spec)`` driver and the golden-trace tooling unchanged.  See
-docs/API.md for the 20-line extension recipe.
+docs/API.md for the extension recipe.
 """
 
 from __future__ import annotations
 
 import bisect
-from collections import deque
 
 from repro.accelos.adaptive import SchedulingPolicy, effective_chunk
 from repro.accelos.sharing import compute_allocations
@@ -179,9 +180,7 @@ class GpuOpenSession:
 class ElasticOpenSession:
     """Elastic Kernels' closed-loop session: serialised merged launches.
 
-    The incremental form of
-    :meth:`ElasticKernelsScheme.open_records`'s replay loop, exposing
-    the same device-session protocol as :class:`GpuOpenSession`.  EK
+    The same device-session protocol as :class:`GpuOpenSession`.  EK
     decides merges statically at launch, so the session alternates two
     event kinds: a *launch* (device idle, waiting queue non-empty —
     pack the queue head into a merged launch, simulate it as a closed
@@ -297,26 +296,25 @@ class SchedulingScheme:
 
     # -- open system --------------------------------------------------------
 
+    def open_session(self, device, policy=SchedulingPolicy.ADAPTIVE,
+                     saturate=True):
+        """One device's incremental open-system session: an object
+        speaking the device-session protocol of
+        :class:`repro.sim.fleet.FleetSimulator`.  The only open-system
+        contract a scheme has to meet; every open-system run, single
+        device or fleet, drives it."""
+        raise _missing_mode_error(self, "open-system", "open_session",
+                                  open_scheme_names)
+
     def open_records(self, arrivals, device,
                      policy=SchedulingPolicy.ADAPTIVE, saturate=True):
         """Per-request :class:`RequestRecord` list for one arrival stream,
-        in the stream's submission order (conservation: one per arrival)."""
-        raise _missing_mode_error(self, "open-system", "open_records",
-                                  open_scheme_names)
-
-    def open_session(self, device, policy=SchedulingPolicy.ADAPTIVE,
-                     saturate=True):
-        """One device's incremental open-system session (the closed-loop
-        fleet plane): an object speaking the device-session protocol of
-        :class:`repro.sim.fleet.FleetSimulator`.  Optional — schemes
-        without one fall back to the offline fleet path and cannot serve
-        online placement policies."""
-        raise SimulationError(
-            "scheme {!r} has no closed-loop session mode; implement "
-            "open_session to use online placement (session-capable: "
-            "{})".format(self.name, ", ".join(
-                s for s in SCHEMES
-                if SCHEMES.from_name(s).supports_open_session)))
+        in the stream's submission order (conservation: one per arrival):
+        :meth:`open_session` on one device, through the fleet loop."""
+        # imported lazily: the harness sits above this layer
+        from repro.harness.open_system import OpenSystemExperiment
+        return OpenSystemExperiment(device, policy, saturate).scheme_records(
+            arrivals, self)
 
     # -- closed batches ------------------------------------------------------
 
@@ -335,8 +333,8 @@ class SchedulingScheme:
 
     @property
     def supports_open(self):
-        """True when the scheme implements :meth:`open_records`."""
-        return type(self).open_records is not SchedulingScheme.open_records
+        """True when the scheme implements :meth:`open_session`."""
+        return type(self).open_session is not SchedulingScheme.open_session
 
     @property
     def supports_closed(self):
@@ -347,12 +345,6 @@ class SchedulingScheme:
     def supports_single(self):
         """True when the scheme implements :meth:`run_single`."""
         return type(self).run_single is not SchedulingScheme.run_single
-
-    @property
-    def supports_open_session(self):
-        """True when the scheme implements :meth:`open_session` (the
-        closed-loop fleet plane)."""
-        return type(self).open_session is not SchedulingScheme.open_session
 
     # -- single-kernel studies ----------------------------------------------
 
@@ -367,17 +359,6 @@ class SchedulingScheme:
             "{})".format(self.name, ", ".join(
                 s for s in SCHEMES
                 if SCHEMES.from_name(s).supports_single)))
-
-    # -- shared helpers ------------------------------------------------------
-
-    @staticmethod
-    def records_from_trace(arrivals, trace, device):
-        """Zip one open-system trace back onto its arrival stream."""
-        return [
-            RequestRecord(a.name, a.time, iv.start, iv.finish,
-                          isolated_time(a.name, device), tenant=a.tenant)
-            for a, iv in zip(arrivals, trace.intervals)
-        ]
 
     def __repr__(self):
         return "<{} {!r}>".format(type(self).__name__, self.name)
@@ -394,11 +375,8 @@ class BaselineScheme(SchedulingScheme):
     description = "standard OpenCL stack, firmware FIFO/exclusive scheduler"
     is_reference = True
 
-    def open_records(self, arrivals, device,
-                     policy=SchedulingPolicy.ADAPTIVE, saturate=True):
-        specs = [base_spec(a.name).with_arrival(a.time) for a in arrivals]
-        trace = GPUSimulator(device).run_open(specs)
-        return self.records_from_trace(arrivals, trace, device)
+    # perfbench/tracer.py looks its shim targets up with vars(cls)
+    open_records = SchedulingScheme.open_records
 
     def open_session(self, device, policy=SchedulingPolicy.ADAPTIVE,
                      saturate=True):
@@ -465,13 +443,8 @@ class AccelOSScheme(SchedulingScheme):
 
     # -- execution -----------------------------------------------------------
 
-    def open_records(self, arrivals, device,
-                     policy=SchedulingPolicy.ADAPTIVE, saturate=True):
-        specs = [self.admission_spec(a, device, policy=policy,
-                                     saturate=saturate) for a in arrivals]
-        trace = GPUSimulator(device).run_open(
-            specs, allocator=sharing_allocator(device, saturate=saturate))
-        return self.records_from_trace(arrivals, trace, device)
+    # perfbench/tracer.py looks its shim targets up with vars(cls)
+    open_records = SchedulingScheme.open_records
 
     def open_session(self, device, policy=SchedulingPolicy.ADAPTIVE,
                      saturate=True):
@@ -518,42 +491,8 @@ class ElasticKernelsScheme(SchedulingScheme):
     name = "ek"
     description = "Elastic Kernels: static merged launches, serialised"
 
-    def open_records(self, arrivals, device,
-                     policy=SchedulingPolicy.ADAPTIVE, saturate=True):
-        """Serialised merged-launch replay.
-
-        EK decides merges statically at launch: requests arriving while a
-        merged launch runs cannot join it, so they queue until the device
-        drains, then the queue head is packed into the next merged launch
-        (arrival order, bounded by the merge width and static split
-        floor).
-        """
-        scheduler = ElasticKernelsScheduler(device)
-        order = sorted(range(len(arrivals)),
-                       key=lambda i: (arrivals[i].time, i))
-        records = [None] * len(arrivals)
-        waiting = deque()
-        now = 0.0
-        next_arrival = 0
-        while next_arrival < len(order) or waiting:
-            if not waiting:
-                now = max(now, arrivals[order[next_arrival]].time)
-            while (next_arrival < len(order)
-                   and arrivals[order[next_arrival]].time <= now + 1e-12):
-                waiting.append(order[next_arrival])
-                next_arrival += 1
-            specs = [base_spec(arrivals[i].name) for i in waiting]
-            head = scheduler.pack(specs)[0]
-            launched = [waiting.popleft() for _ in head.specs]
-            trace = GPUSimulator(device).run(
-                scheduler.to_sim_specs(head))
-            for i, iv in zip(launched, trace.intervals):
-                a = arrivals[i]
-                records[i] = RequestRecord(
-                    a.name, a.time, now + iv.start, now + iv.finish,
-                    isolated_time(a.name, device), tenant=a.tenant)
-            now += trace.makespan
-        return records
+    # perfbench/tracer.py looks its shim targets up with vars(cls)
+    open_records = SchedulingScheme.open_records
 
     def open_session(self, device, policy=SchedulingPolicy.ADAPTIVE,
                      saturate=True):

@@ -141,10 +141,11 @@ class ExperimentSpec:
     :class:`~repro.harness.open_system.OpenSystemExperiment`; multi-device
     specs through the fleet path, one run per placement policy named in
     ``placements``.  ``placement_mode`` picks the fleet's evaluation
-    plane — ``"auto"`` (offline policies replay the pre-pass estimate
-    bit-identically, online policies run the closed loop), ``"offline"``
-    (force the legacy pre-pass) or ``"online"`` (force live-state
-    placement, adapting offline policies) — and ``rebalance`` names a
+    plane — ``"auto"`` (offline policies place against the pre-pass
+    backlog estimate, online policies against live state), ``"offline"``
+    (an alias of ``"auto"`` that rejects online policies and
+    re-balancers) or ``"online"`` (force live-state placement, adapting
+    offline policies) — and ``rebalance`` names a
     registered re-balancer (``"none"`` to disable) wrapped around every
     placement, which requires live-state placement.  Streams come from
     the named traffic ``scenario`` at each offered ``load``;
@@ -159,9 +160,7 @@ class ExperimentSpec:
     arrivals lazily through online sketches
     (:mod:`repro.metrics.sketches`) in bounded memory: counts, means,
     maxima and ANTT/STP/unfairness are exact up to summation order, and
-    percentile metrics are P² estimates.  Streaming consumes arrivals
-    incrementally, so it requires the closed loop (``placement_mode``
-    ``"auto"`` or ``"online"``).
+    percentile metrics are P² estimates.
 
     ``attribution`` attaches a per-tenant accounting ledger
     (:class:`repro.attribution.AttributionLedger`) to every cell: each
@@ -169,8 +168,7 @@ class ExperimentSpec:
     attribution metrics (``tenant_occupancy``, ``induced_delay_matrix``,
     ``attribution_summary``) become selectable.  Off by default — an
     unattributed run takes exactly the historical code paths, so its
-    results stay bit-identical.  Attribution needs the closed loop's
-    event timeline (``placement_mode`` ``"auto"`` or ``"online"``).
+    results stay bit-identical.
     """
 
     scenario: str = "steady"
@@ -272,8 +270,9 @@ class ExperimentSpec:
         else:
             if self.placement_mode == "offline":
                 _require(self.rebalance == "none",
-                         "re-balancing needs the closed loop; use "
-                         "placement_mode 'auto' or 'online'")
+                         "re-balancing needs live-state placement, which "
+                         "placement_mode 'offline' rules out; use "
+                         "'online'")
                 for name in placements:
                     _require(not is_online_placement(name),
                              "placement {!r} is closed-loop-only; it "
@@ -297,11 +296,6 @@ class ExperimentSpec:
         object.__setattr__(self, "metrics", metrics)
 
         _known(self.metrics_mode, _METRICS_MODES, "metrics mode")
-        if self.metrics_mode == "streaming":
-            _require(self.placement_mode != "offline",
-                     "streaming metrics need the closed loop (arrivals are "
-                     "consumed incrementally); use placement_mode 'auto' or "
-                     "'online'")
 
         _known(self.policy, _POLICIES, "scheduling policy")
         _require(isinstance(self.saturate, bool),
@@ -310,11 +304,7 @@ class ExperimentSpec:
         _require(isinstance(self.attribution, bool),
                  "attribution must be a boolean, got {!r}".format(
                      self.attribution))
-        if self.attribution:
-            _require(self.placement_mode != "offline",
-                     "attribution needs the closed loop's event timeline; "
-                     "use placement_mode 'auto' or 'online'")
-        else:
+        if not self.attribution:
             selected = [n for n in metrics if n in ATTRIBUTION_METRICS]
             _require(not selected,
                      "metric {!r} needs the attribution plane; set "

@@ -10,8 +10,15 @@ Scheme execution itself lives on the registered scheme objects
 (:mod:`repro.api.schemes`): ``baseline`` (firmware FIFO/exclusive queue),
 ``ek`` (Elastic Kernels' serialised merged launches) and ``accelos``
 (the §3 sharing algorithm re-run on every arrival and completion) are
-pre-registered, and any user-registered scheme runs through these
-experiments unchanged — the harness only zips records into metrics.
+pre-registered, and any user-registered scheme with an ``open_session``
+runs through these experiments unchanged.
+
+Every run — single device or fleet, exact or streaming, attributed or
+not — goes through one loop, :class:`repro.sim.fleet.FleetSimulator`,
+over one session per device: :class:`OpenSystemExperiment` is a fleet of
+one.  The harness only turns harvested completions into records (one
+callback feeding the attribution ledger, then the overall sink, then the
+per-device sink) and records into metrics.
 
 Per-request metrics measure turnaround from *arrival* (queueing included),
 normalised by the kernel's isolated execution time — the open-system
@@ -20,18 +27,17 @@ analogue of the paper's individual slowdown.
 **Inputs:** an arrival stream (:class:`repro.workloads.arrivals.ArrivalRequest`
 lists, usually from the seeded generators) plus a device — or, for
 :class:`FleetOpenSystemExperiment`, a :class:`repro.sim.fleet.DeviceFleet`
-and a placement policy.  **Invariants:** records are returned in the
+and a placement policy.  **Invariants:** exact runs return records in the
 stream's submission order, one per arrival (conservation); every
 experiment is a pure function of its inputs (same stream → bit-identical
 metrics); the accelOS scheme re-runs the §3 allocator on every arrival
 and completion of the device serving the request.
 
-Fleet runs place each request on exactly one device
-(:func:`repro.accelos.placement.place_arrivals`), simulate every device
-independently, and report both per-device results and fleet-wide
-aggregates.  Fleet slowdowns are normalised by the *best* isolated time
-across the fleet, so being routed to a slow device legitimately counts as
-slowdown — the user-perceived metric for a heterogeneous deployment.
+Fleet runs place each request on exactly one device and report both
+per-device results and fleet-wide aggregates.  Fleet slowdowns are
+normalised by the *best* isolated time across the fleet, so being routed
+to a slow device legitimately counts as slowdown — the user-perceived
+metric for a heterogeneous deployment.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import numpy as np
 from repro.accelos.adaptive import SchedulingPolicy
 from repro.accelos.placement import (OfflinePolicyAdapter,
                                      OnlinePlacementPolicy, PlacementDecision,
-                                     place_arrivals)
+                                     RoundRobinPlacement)
 # re-exported under their historical home: these primitives now live in
 # repro.api.kernels so schemes below the harness can share them
 from repro.api.kernels import (arrival_rate_for_load,  # noqa: F401
@@ -55,7 +61,6 @@ from repro.errors import SimulationError
 from repro.metrics import (StreamingRecordSink, antt, individual_slowdowns,
                            request_tails, stp, system_unfairness)
 from repro.sim.fleet import DeviceFleet, FleetSimulator
-from repro.workloads.arrivals import ArrivalRequest
 
 
 class OpenSystemResult:
@@ -132,14 +137,108 @@ class OpenSystemResult:
                         self.antt))
 
 
-class OpenSystemExperiment:
-    """Runs one arrival stream under registered scheduling schemes."""
+class _FleetLoop:
+    """What both experiments share: a fleet, the scheme knobs, and the
+    one method that runs a stream through :class:`FleetSimulator`."""
+
+    def __init__(self, fleet, policy, saturate):
+        self.fleet = fleet
+        self.policy = policy
+        self.saturate = saturate
+
+    def reference_isolated(self, name):
+        """Best isolated time across the fleet: the slowdown denominator."""
+        return min(isolated_time(name, member.device)
+                   for member in self.fleet)
+
+    def _simulate(self, arrivals, scheme, placement, ledger=None,
+                  sink_factory=None):
+        """Run one stream through the fleet loop.
+
+        Exact mode (``sink_factory=None``): ``arrivals`` is a list,
+        replayed in ``(time, index)`` order; returns ``(simulator, placed,
+        records, penalised)``, ``placed`` and ``records`` indexed by
+        stream position.  Streaming mode: ``arrivals`` is a lazy
+        time-ordered iterable; returns ``(simulator, overall_sink,
+        device_sinks, penalised)`` with ``device_sinks`` keyed by device
+        id (on a fleet of one, the overall sink).  ``penalised`` counts
+        the requests charged a migration penalty.  Sets
+        ``events_processed`` either way.
+        """
+        fleet = self.fleet
+        sessions = [scheme.open_session(member.device, policy=self.policy,
+                                        saturate=self.saturate)
+                    for member in fleet]
+        simulator = FleetSimulator(fleet, sessions, placement,
+                                   estimator=isolated_time, ledger=ledger)
+        best = {}                       # kernel name -> reference isolated
+        overall = device_sinks = None
+        penalised = 0
+        if sink_factory is None:
+            if not arrivals:
+                raise SimulationError("empty arrival stream")
+            order = sorted(range(len(arrivals)),
+                           key=lambda i: (arrivals[i].time, i))
+            placed = [None] * len(arrivals)
+            records = [None] * len(arrivals)
+            stream = (arrivals[i] for i in order)
+        else:
+            overall = sink_factory()
+            if len(fleet) > 1:
+                device_sinks = [sink_factory() for _ in fleet]
+            stream = arrivals
+
+        def on_record(entry, start, finish):
+            nonlocal penalised
+            if entry.penalty > 0:
+                penalised += 1
+            arrival = entry.arrival
+            isolated = best.get(arrival.name)
+            if isolated is None:
+                isolated = best[arrival.name] = \
+                    self.reference_isolated(arrival.name)
+            record = RequestRecord(arrival.name, arrival.time, start,
+                                   finish, isolated, tenant=arrival.tenant)
+            if ledger is not None:
+                ledger.observe_record(record)
+            if overall is None:
+                position = order[entry.position]
+                placed[position] = entry
+                records[position] = record
+                return
+            overall.observe(record)
+            if device_sinks is not None:
+                device_sinks[entry.index].observe(record)
+
+        simulator.run_stream(stream, on_record)
+        # observability only: engine events summed over the sessions
+        # (the denominator of events/sec)
+        self.events_processed = simulator.events_processed()
+        if overall is None:
+            return simulator, placed, records, penalised
+        if device_sinks is None:
+            device_sinks = [overall]
+        return (simulator, overall, dict(zip(fleet.ids, device_sinks)),
+                penalised)
+
+
+class OpenSystemExperiment(_FleetLoop):
+    """Runs one arrival stream under registered scheduling schemes on one
+    device: a fleet of one, whose member id is the device's name."""
 
     def __init__(self, device, policy=SchedulingPolicy.ADAPTIVE,
                  saturate=True):
+        super().__init__(DeviceFleet([(device.name, device)]), policy,
+                         saturate)
         self.device = device
-        self.policy = policy
-        self.saturate = saturate
+
+    def _one_device(self, arrivals, scheme, ledger=None, sink_factory=None):
+        # a one-device placement never has a choice to make; the
+        # estimate-mode adapter is the cheapest policy the loop accepts
+        return self._simulate(
+            arrivals, scheme,
+            OfflinePolicyAdapter(RoundRobinPlacement(), mode="estimate"),
+            ledger=ledger, sink_factory=sink_factory)
 
     # -- public ------------------------------------------------------------
 
@@ -149,155 +248,42 @@ class OpenSystemExperiment:
         :class:`OpenSystemResult` with records in submission order.
 
         With a ``ledger`` (:class:`repro.attribution.AttributionLedger`)
-        the run is driven through the harvesting session loop — identical
-        timings, but completions surface as events the ledger can
-        consume — and the result gains an ``attribution`` report.
+        every submit and completion is mirrored into it as the loop runs,
+        and the result gains an ``attribution`` report.
         """
         scheme_obj = scheme_from_name(scheme)
+        records = self._one_device(arrivals, scheme_obj, ledger=ledger)[2]
+        result = OpenSystemResult(scheme_obj.name, self.device.name, records)
         if ledger is not None:
-            records = self._attributed_records(arrivals, scheme_obj,
-                                               ledger)
-            result = OpenSystemResult(scheme_obj.name, self.device.name,
-                                      records)
             result.attribution = ledger.report()
-            return result
-        records = self.scheme_records(arrivals, scheme_obj)
-        return OpenSystemResult(scheme_obj.name, self.device.name, records)
-
-    def _attributed_records(self, arrivals, scheme_obj, ledger):
-        """Exact-path records via the harvesting session loop, with every
-        submit/finish mirrored into ``ledger`` in event order (the eager
-        ``open_records`` path computes identical timings but never
-        surfaces per-completion events)."""
-        if not arrivals:
-            raise SimulationError("empty arrival stream")
-        if not scheme_obj.supports_open_session:
-            raise SimulationError(
-                "scheme {!r} has no open_session, so its runs cannot be "
-                "attributed".format(scheme_obj.name))
-        session = scheme_obj.open_session(self.device, policy=self.policy,
-                                          saturate=self.saturate)
-        records = [None] * len(arrivals)
-        pending = {}
-        order = sorted(range(len(arrivals)),
-                       key=lambda i: (arrivals[i].time, i))
-        for i in order:
-            arrival = arrivals[i]
-            while True:
-                next_time = session.peek()
-                if next_time is None or next_time >= arrival.time:
-                    break
-                session.step()
-            self._drain_attributed(session, pending, records, ledger)
-            session.submit(i, arrival, arrival.time)
-            ledger.submit(i, arrival.name, arrival.tenant, 0, arrival.time,
-                          isolated_time(arrival.name, self.device))
-            pending[i] = arrival
-        while session.peek() is not None:
-            session.step()
-        self._drain_attributed(session, pending, records, ledger)
-        if pending:
-            raise SimulationError(
-                "{} requests never finished on {} (conservation "
-                "violated)".format(len(pending), self.device.name))
-        return records
-
-    def _drain_attributed(self, session, pending, records, ledger):
-        for key, start, finish in session.harvest():
-            arrival = pending.pop(key)
-            ledger.finish(key, start, finish)
-            record = RequestRecord(
-                arrival.name, arrival.time, start, finish,
-                isolated_time(arrival.name, self.device),
-                tenant=arrival.tenant)
-            ledger.observe_record(record)
-            records[key] = record
+        return result
 
     def scheme_records(self, arrivals, scheme):
-        """Per-request records of one scheme over one stream (the building
-        block :class:`FleetOpenSystemExperiment` combines per device).
-        Unknown scheme names raise listing the registered schemes."""
-        if not arrivals:
-            raise SimulationError("empty arrival stream")
-        return scheme_from_name(scheme).open_records(
-            arrivals, self.device, policy=self.policy,
-            saturate=self.saturate)
+        """Per-request records of one scheme over one stream, in
+        submission order.  Unknown scheme names raise listing the
+        registered schemes."""
+        return self._one_device(arrivals, scheme_from_name(scheme))[2]
 
     def run_stream(self, arrivals, scheme, sink_factory=None, ledger=None):
         """Streaming :meth:`run`: consume a *lazy* time-ordered arrival
         iterator incrementally, accumulate metrics in a record sink and
         never retain the stream — bounded memory at any request count.
 
-        The scheme must support ``open_session`` (with ``harvest()``).
         Returns an :class:`OpenSystemResult` built
         :meth:`~OpenSystemResult.from_sink` (``records is None``).  With
-        a ``ledger`` the sink forwards every completed record to it, the
-        submit/finish events feed its accounts, and the result gains an
-        ``attribution`` report — still bounded memory (the ledger is
-        O(#tenants·#devices)).
+        a ``ledger`` the loop feeds it submit/finish events and every
+        completed record, and the result gains an ``attribution`` report
+        — still bounded memory (the ledger is O(#tenants·#devices)).
         """
         scheme_obj = scheme_from_name(scheme)
-        if not scheme_obj.supports_open_session:
-            raise SimulationError(
-                "scheme {!r} has no open_session, so it cannot consume "
-                "a stream incrementally; use run() with a list".format(
-                    scheme_obj.name))
-        session = scheme_obj.open_session(self.device, policy=self.policy,
-                                          saturate=self.saturate)
-        sink = (sink_factory or StreamingRecordSink)()
-        if ledger is not None and hasattr(sink, "attach_attribution"):
-            sink.attach_attribution(ledger.observe_record)
-        pending = {}                    # key -> arrival, outstanding only
-        position = 0
-        last_time = None
-        for arrival in arrivals:
-            if last_time is not None and arrival.time < last_time - 1e-12:
-                raise SimulationError(
-                    "streaming arrivals must be time-ordered: {:.6f} "
-                    "after {:.6f}".format(arrival.time, last_time))
-            last_time = arrival.time
-            # advance strictly before the arrival (the arrival-first tie
-            # rule of run_open), then absorb whatever finished
-            while True:
-                next_time = session.peek()
-                if next_time is None or next_time >= arrival.time:
-                    break
-                session.step()
-            self._harvest_into(session, pending, sink, ledger)
-            session.submit(position, arrival, arrival.time)
-            if ledger is not None:
-                ledger.submit(position, arrival.name, arrival.tenant, 0,
-                              arrival.time,
-                              isolated_time(arrival.name, self.device))
-            pending[position] = arrival
-            position += 1
-        if position == 0:
-            raise SimulationError("empty arrival stream")
-        while session.peek() is not None:
-            session.step()
-        self._harvest_into(session, pending, sink, ledger)
-        if pending:
-            raise SimulationError(
-                "{} requests never finished on {} (conservation "
-                "violated)".format(len(pending), self.device.name))
-        # observability only: how many engine events the stream cost
-        # (the denominator of events/sec)
-        self.events_processed = getattr(session, "events_processed", 0)
+        sink = self._one_device(
+            arrivals, scheme_obj, ledger=ledger,
+            sink_factory=sink_factory or StreamingRecordSink)[1]
         result = OpenSystemResult.from_sink(scheme_obj.name,
                                             self.device.name, sink)
         if ledger is not None:
             result.attribution = ledger.report()
         return result
-
-    def _harvest_into(self, session, pending, sink, ledger=None):
-        for key, start, finish in session.harvest():
-            arrival = pending.pop(key)
-            if ledger is not None:
-                ledger.finish(key, start, finish)
-            sink.observe(RequestRecord(
-                arrival.name, arrival.time, start, finish,
-                isolated_time(arrival.name, self.device),
-                tenant=arrival.tenant))
 
     def run_all(self, arrivals, schemes=None):
         """All schemes over one stream: ``{scheme: OpenSystemResult}``.
@@ -391,7 +377,7 @@ class FleetOpenSystemResult:
                     self.overall.antt))
 
 
-class FleetOpenSystemExperiment:
+class FleetOpenSystemExperiment(_FleetLoop):
     """Open-system arrival streams against a heterogeneous device fleet.
 
     The fleet runs as a **closed-loop co-simulation**
@@ -400,14 +386,11 @@ class FleetOpenSystemExperiment:
     consulted at each arrival.  Three placement modes (``mode=``):
 
     * ``"auto"`` (default) — an offline policy runs in the loop in
-      *estimate* mode, reproducing the historical offline pre-pass's
-      decisions bit-identically; an online policy gets live fleet state
-      and the re-balance hook.
-    * ``"offline"`` — force the legacy pre-pass
-      (:func:`~repro.accelos.placement.place_arrivals` + independent
-      per-device simulation); online policies are rejected.  Also the
-      fallback for registered schemes that implement ``open_records``
-      but no ``open_session``.
+      *estimate* mode (the single-server backlog estimate of an offline
+      pre-pass, replayed arrival by arrival); an online policy gets live
+      fleet state and the re-balance hook.
+    * ``"offline"`` — an alias of ``"auto"`` for offline policies;
+      online policies and re-balancers are rejected.
     * ``"online"`` — force live-state placement: online policies run
       natively, offline policies are adapted with live loads.
 
@@ -426,27 +409,7 @@ class FleetOpenSystemExperiment:
                  saturate=True):
         if not isinstance(fleet, DeviceFleet):
             fleet = DeviceFleet(fleet)
-        self.fleet = fleet
-        self.policy = policy
-        self.saturate = saturate
-        self.experiments = [
-            OpenSystemExperiment(member.device, policy=policy,
-                                 saturate=saturate)
-            for member in fleet
-        ]
-
-    # -- placement ---------------------------------------------------------
-
-    def reference_isolated(self, name):
-        """Best isolated time across the fleet: the slowdown denominator."""
-        return min(isolated_time(name, member.device)
-                   for member in self.fleet)
-
-    def place(self, arrivals, placement):
-        """Offline placement decisions for one stream (no simulation)."""
-        return place_arrivals(
-            placement_from_name(placement), arrivals, self.fleet.devices,
-            estimator=isolated_time, ids=self.fleet.id_to_index())
+        super().__init__(fleet, policy, saturate)
 
     # -- simulation --------------------------------------------------------
 
@@ -457,236 +420,74 @@ class FleetOpenSystemExperiment:
         ``placement`` is a registered name or a policy instance (offline
         or online protocol); ``mode`` and ``rebalance`` are described on
         the class.  With a ``ledger``
-        (:class:`repro.attribution.AttributionLedger`) the closed loop
-        feeds it placement/migration/completion events and the result
-        gains an ``attribution`` report; the offline pre-pass has no
-        event timeline to attribute, so it rejects a ledger.
+        (:class:`repro.attribution.AttributionLedger`) the loop feeds it
+        placement/migration/completion events and the result gains an
+        ``attribution`` report.
         """
-        if not arrivals:
-            raise SimulationError("empty arrival stream")
+        scheme_obj = scheme_from_name(scheme)
+        policy = self._loop_policy(placement, mode, rebalance)
+        simulator, placed, records, _ = self._simulate(
+            arrivals, scheme_obj, policy, ledger=ledger)
+        records_by_device = {device_id: [] for device_id in self.fleet.ids}
+        decisions = []
+        for entry, record in zip(placed, records):
+            records_by_device[self.fleet[entry.index].id].append(record)
+            decisions.append(PlacementDecision(
+                entry.arrival, entry.index, entry.penalty, entry.pinned))
+        result = FleetOpenSystemResult(
+            scheme_obj.name, policy.name, self.fleet, records_by_device,
+            records, decisions, rebalances=len(simulator.migrations))
+        if ledger is not None:
+            result.attribution = ledger.report()
+        return result
+
+    def _loop_policy(self, placement, mode, rebalance):
+        """Resolve, validate and wrap a placement policy for the loop."""
         if mode not in ("auto", "offline", "online"):
             raise SimulationError(
                 "placement mode must be 'auto', 'offline' or 'online', "
                 "got {!r}".format(mode))
-        scheme_obj = scheme_from_name(scheme)
         policy = placement_from_name(placement)
         is_online = isinstance(policy, OnlinePlacementPolicy)
-        if rebalance in ("none",):
-            rebalance = None
-
-        if mode == "offline" or (mode == "auto"
-                                 and not is_online
-                                 and not scheme_obj.supports_open_session):
-            if ledger is not None:
-                raise SimulationError(
-                    "attribution needs the closed loop's event timeline; "
-                    "offline placement cannot be attributed")
-            if is_online:
-                raise SimulationError(
-                    "placement {!r} is closed-loop-only; drop "
-                    "mode='offline' or pick an offline policy".format(
-                        policy.name))
-            if rebalance is not None:
-                raise SimulationError(
-                    "re-balancing needs the closed loop; drop "
-                    "mode='offline' or the rebalance setting")
-            return self._run_offline(arrivals, scheme_obj, policy)
-
-        policy = self._loop_policy(scheme_obj, policy, is_online, mode,
-                                   rebalance)
-        return self._run_loop(arrivals, scheme_obj, policy, ledger=ledger)
-
-    def _loop_policy(self, scheme_obj, policy, is_online, mode, rebalance):
-        """Wrap/validate a placement policy for the closed loop (shared
-        by the eager and streaming paths)."""
-        if mode == "online" and not is_online:
-            # legacy choose logic fed live simulator state
-            policy = OfflinePolicyAdapter(policy, mode="live")
-        elif not is_online:
-            # auto: replay the offline pre-pass decisions bit-identically
-            policy = OfflinePolicyAdapter(policy, mode="estimate")
-        if rebalance is not None:
+        if is_online and mode == "offline":
+            raise SimulationError(
+                "placement {!r} is closed-loop-only; drop mode='offline' "
+                "or pick an offline policy".format(policy.name))
+        if not is_online:
+            policy = OfflinePolicyAdapter(
+                policy, mode="live" if mode == "online" else "estimate")
+        if rebalance not in (None, "none"):
             if not (is_online or mode == "online"):
                 raise SimulationError(
                     "re-balancing needs live-state placement: use an "
                     "online policy or mode='online'")
             policy = rebalancer_from_name(rebalance)(policy)
-        if not scheme_obj.supports_open_session:
-            raise SimulationError(
-                "scheme {!r} has no open_session, so it cannot serve "
-                "online placement; use an offline policy (or implement "
-                "open_session)".format(scheme_obj.name))
         return policy
 
     def run_stream(self, arrivals, scheme, placement, mode="auto",
                    rebalance=None, sink_factory=None, ledger=None):
         """Streaming :meth:`run`: consume a lazy time-ordered arrival
-        iterator through the closed loop in bounded memory.
+        iterator through the loop in bounded memory.
 
-        Always the closed-loop path (``mode="offline"`` is rejected —
-        the pre-pass needs the whole stream up front); completed
-        requests drain into per-device record sinks as they finish.
+        Completed requests drain into record sinks as they finish.
         Returns a :class:`FleetOpenSystemResult` built
         :meth:`~FleetOpenSystemResult.from_sinks` (``records`` and
-        ``decisions`` are ``None``).  With a ``ledger`` the loop feeds
-        it placement/migration/completion events, the *overall* sink
-        forwards completed records (per-device sinks do not — one
-        observation per record), and the result gains an
-        ``attribution`` report.
+        ``decisions`` are ``None``).  With a ``ledger`` the loop feeds it
+        placement/migration/completion events and every completed record,
+        and the result gains an ``attribution`` report.
         """
-        if mode not in ("auto", "online"):
-            raise SimulationError(
-                "streaming fleet runs are closed-loop only: placement "
-                "mode must be 'auto' or 'online', got {!r}".format(mode))
         scheme_obj = scheme_from_name(scheme)
-        policy = placement_from_name(placement)
-        is_online = isinstance(policy, OnlinePlacementPolicy)
-        if rebalance in ("none",):
-            rebalance = None
-        policy = self._loop_policy(scheme_obj, policy, is_online, mode,
-                                   rebalance)
-        sessions = [
-            scheme_obj.open_session(member.device, policy=self.policy,
-                                    saturate=self.saturate)
-            for member in self.fleet
-        ]
-        simulator = FleetSimulator(self.fleet, sessions, policy,
-                                   estimator=isolated_time, ledger=ledger)
-        factory = sink_factory or StreamingRecordSink
-        overall = factory()
-        if ledger is not None and hasattr(overall, "attach_attribution"):
-            overall.attach_attribution(ledger.observe_record)
-        device_sinks = {device_id: factory()
-                        for device_id in self.fleet.ids}
-        migrated = [0]
-
-        def on_record(entry, start, finish):
-            arrival = entry.arrival
-            record = RequestRecord(
-                arrival.name, arrival.time, start, finish,
-                self.reference_isolated(arrival.name),
-                tenant=arrival.tenant)
-            overall.observe(record)
-            device_sinks[self.fleet[entry.index].id].observe(record)
-            if entry.penalty > 0:
-                migrated[0] += 1
-
-        simulator.run_stream(arrivals, on_record)
-        # observability only: engine events summed over the fleet's
-        # sessions (the denominator of events/sec)
-        self.events_processed = simulator.events_processed()
+        policy = self._loop_policy(placement, mode, rebalance)
+        simulator, overall, device_sinks, penalised = self._simulate(
+            arrivals, scheme_obj, policy, ledger=ledger,
+            sink_factory=sink_factory or StreamingRecordSink)
         result = FleetOpenSystemResult.from_sinks(
             scheme_obj.name, policy.name, self.fleet, overall,
-            device_sinks, migrations=migrated[0],
+            device_sinks, migrations=penalised,
             rebalances=len(simulator.migrations))
         if ledger is not None:
             result.attribution = ledger.report()
         return result
-
-    def _run_loop(self, arrivals, scheme_obj, policy, ledger=None):
-        """The closed-loop path: one merged timeline over all devices.
-
-        With a ``ledger`` the loop runs through the harvesting streaming
-        machinery over the same (sorted) stream — identical placements
-        and timings, but completions surface as the per-event stream the
-        ledger consumes — and the result is rebuilt in submission order
-        with an ``attribution`` report attached.
-        """
-        sessions = [
-            scheme_obj.open_session(member.device, policy=self.policy,
-                                    saturate=self.saturate)
-            for member in self.fleet
-        ]
-        simulator = FleetSimulator(self.fleet, sessions, policy,
-                                   estimator=isolated_time, ledger=ledger)
-        if ledger is None:
-            placed = simulator.run(arrivals)
-            timings = [session.results() for session in sessions]
-            timing_of = [timings[placed[i].index][i]
-                         for i in range(len(arrivals))]
-        else:
-            # same (time, index) order run() uses; stream positions map
-            # back to original positions through it
-            order = sorted(range(len(arrivals)),
-                           key=lambda i: (arrivals[i].time, i))
-            placed = [None] * len(arrivals)
-            timing_of = [None] * len(arrivals)
-
-            def on_harvest(entry, start, finish):
-                original = order[entry.position]
-                placed[original] = entry
-                timing_of[original] = (start, finish)
-                ledger.observe_record(RequestRecord(
-                    entry.arrival.name, entry.arrival.time, start, finish,
-                    self.reference_isolated(entry.arrival.name),
-                    tenant=entry.arrival.tenant))
-
-            simulator.run_stream((arrivals[i] for i in order), on_harvest)
-        all_records = [None] * len(arrivals)
-        records_by_device = {device_id: [] for device_id in self.fleet.ids}
-        decisions = []
-        for position, arrival in enumerate(arrivals):
-            entry = placed[position]
-            start, finish = timing_of[position]
-            record = RequestRecord(
-                arrival.name, arrival.time, start, finish,
-                self.reference_isolated(arrival.name),
-                tenant=arrival.tenant)
-            all_records[position] = record
-            records_by_device[self.fleet[entry.index].id].append(record)
-            decisions.append(PlacementDecision(
-                arrival, entry.index, entry.penalty, entry.pinned))
-        result = FleetOpenSystemResult(
-            scheme_obj.name, policy.name, self.fleet, records_by_device,
-            all_records, decisions,
-            rebalances=len(simulator.migrations))
-        if ledger is not None:
-            result.attribution = ledger.report()
-        return result
-
-    def _run_offline(self, arrivals, scheme_obj, policy):
-        """The legacy pre-pass path: place the whole stream against the
-        single-server backlog estimate, then simulate every device's
-        sub-stream independently."""
-        decisions = self.place(arrivals, policy)
-        per_device_indices = {i: [] for i in range(len(self.fleet))}
-        for position, decision in enumerate(decisions):
-            per_device_indices[decision.index].append(position)
-
-        all_records = [None] * len(arrivals)
-        records_by_device = {}
-        for index, positions in per_device_indices.items():
-            device_id = self.fleet[index].id
-            if not positions:
-                records_by_device[device_id] = []
-                continue
-            # a migration penalty delays the request's availability on the
-            # device (the buffers move first), so it shifts the effective
-            # arrival; queueing delay is still charged from the original
-            # arrival time below.
-            sub_arrivals = [
-                ArrivalRequest(arrivals[p].name,
-                               arrivals[p].time + decisions[p].penalty,
-                               tenant=arrivals[p].tenant)
-                for p in positions
-            ]
-            sub_records = self.experiments[index].scheme_records(
-                sub_arrivals, scheme_obj)
-            device_records = []
-            for position, record in zip(positions, sub_records):
-                original = arrivals[position]
-                rewritten = RequestRecord(
-                    record.name, original.time, record.start, record.finish,
-                    self.reference_isolated(record.name),
-                    tenant=original.tenant)
-                device_records.append(rewritten)
-                all_records[position] = rewritten
-            records_by_device[device_id] = device_records
-        if any(record is None for record in all_records):
-            raise SimulationError("fleet run lost a request record")
-        return FleetOpenSystemResult(scheme_obj.name, policy.name,
-                                     self.fleet, records_by_device,
-                                     all_records, decisions)
 
     def run_all(self, arrivals, placement, schemes=None, mode="auto",
                 rebalance=None):

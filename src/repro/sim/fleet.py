@@ -8,12 +8,14 @@ here:
 * :class:`DeviceFleet` — the topology: N devices behind one placement
   boundary, each keeping its **own** simulator, allocator state and §3
   guarantees — nothing about single-device simulation changes;
-* :class:`FleetSimulator` — the **closed-loop co-simulation**: every
-  device's open-system session is merged onto one event timeline, the
-  placement policy is consulted *at each arrival* against live
-  per-device state (actual outstanding work, not a pre-pass estimate),
-  and a re-balance hook fires at completion/idle events so still-queued
-  requests may migrate between devices (charged a migration penalty).
+* :class:`FleetSimulator` — the **closed-loop co-simulation** and the
+  only open-system run loop in the package: every device's open-system
+  session is merged onto one event timeline, the placement policy is
+  consulted *at each arrival* (against live per-device state, or the
+  replayed offline estimate), a re-balance hook fires at completion/idle
+  events so still-queued requests may migrate between devices (charged
+  a migration penalty), and completed requests are harvested as they
+  finish.  A single device is a fleet of one.
 
 The co-simulation is deliberately scheme-agnostic: it drives duck-typed
 *device sessions* (the incremental advance-to-next-event interface of
@@ -35,6 +37,8 @@ from __future__ import annotations
 
 from repro.errors import SchedulingError, SimulationError
 from repro.sim.gpu import device_cost_scale
+
+_FOREVER = float("inf")
 
 
 class FleetDevice:
@@ -185,6 +189,11 @@ class DeviceFleet:
 #   submit(key, arrival, effective_time)  one request enters this device
 #   peek() -> float | None                next event time (None = drained)
 #   step() -> (time, finished_delta)      process exactly one event
+#   harvest() -> [(key, start, finish)]   requests finished since the
+#                                         last harvest, then forgotten
+#
+# Needed only by live-state placement and re-balancing:
+#
 #   queued() -> [QueuedRequest]           withdrawable (not-yet-started)
 #   withdraw(key) -> float                remove a queued request, return
 #                                         its old effective arrival time
@@ -193,8 +202,8 @@ class DeviceFleet:
 #
 # Placement-policy protocol: the online protocol of
 # repro.accelos.placement (reset / observe_arrival / choose /
-# migration_penalty / placed / rebalance).  Legacy offline policies are
-# adapted there, never here.
+# migration_penalty / placed / rebalance).  Offline policies are adapted
+# there, never here.
 
 
 class QueuedRequest:
@@ -288,11 +297,13 @@ class PlacedRequest:
 
     ``index`` is the device that ultimately *served* the request (after
     any migrations), ``penalty`` the total migration delay it was
-    charged, ``migrated`` how many times the re-balance hook moved it.
+    charged, ``migrated`` how many times the re-balance hook moved it;
+    ``start`` and ``finish`` are set by :meth:`FleetSimulator.run` once
+    the request has been harvested.
     """
 
     __slots__ = ("position", "arrival", "index", "penalty", "pinned",
-                 "migrated")
+                 "migrated", "start", "finish")
 
     def __init__(self, position, arrival, index, penalty, pinned):
         self.position = position
@@ -301,6 +312,8 @@ class PlacedRequest:
         self.penalty = float(penalty)
         self.pinned = pinned
         self.migrated = 0
+        self.start = None
+        self.finish = None
 
     def __repr__(self):
         return "<PlacedRequest {} -> device {}{}>".format(
@@ -313,18 +326,22 @@ class FleetSimulator:
     """Closed-loop co-simulation of one arrival stream over a fleet.
 
     Merges every device session onto one global event timeline.  At each
-    arrival the placement policy chooses a device against the **live**
-    fleet state; after each completion (and whenever a device drains to
-    idle) the policy's re-balance hook may migrate still-queued requests
-    between devices.  Contrast with the offline pre-pass
-    (:func:`repro.accelos.placement.place_arrivals`), which walks the
-    whole stream against a single-server backlog estimate before any
-    device simulates.
+    arrival the placement policy chooses a device; after each completion
+    (and whenever a device drains to idle) the policy's re-balance hook
+    may migrate still-queued requests between devices.  Offline policies
+    run here too, through
+    :class:`~repro.accelos.placement.OfflinePolicyAdapter` in estimate
+    mode, which replays the single-server backlog estimate of an offline
+    pre-pass arrival by arrival.
 
     ``sessions`` are per-device scheme sessions (see the protocol note
     above); ``policy`` speaks the online protocol; ``estimator(name,
     device)`` supplies per-request service estimates for the policy's
     cost vector (memoised here per ``(name, device index)``).
+
+    :meth:`run` and :meth:`run_stream` are thin entries over one loop,
+    :meth:`_run`.  Timings always come from the sessions' ``harvest()``,
+    so finished requests are dropped as they complete.
 
     Determinism: no RNG anywhere; the next event is the minimum over
     sessions of ``peek()``, ties broken by fleet index; arrivals at time
@@ -345,10 +362,7 @@ class FleetSimulator:
         self._rebalance_enabled = True
         self.migrations = []            # executed MigrationOrders
         # optional repro.attribution.AttributionLedger: fed placement,
-        # migration and completion events as they happen.  Completions
-        # only reach it through the harvest path, so attributed runs must
-        # go through run_stream (the harness routes attributed exact runs
-        # through the same loop over a materialised stream).
+        # migration and completion events as they happen
         self.ledger = ledger
 
     # -- estimator memoisation ---------------------------------------------
@@ -370,56 +384,58 @@ class FleetSimulator:
     # -- the loop ----------------------------------------------------------
 
     def run(self, arrivals):
-        """Place and co-simulate one stream; returns one
-        :class:`PlacedRequest` per arrival, in the stream's order."""
-        if not arrivals:
-            raise SimulationError("empty arrival stream")
-        count = len(self.fleet)
-        self.policy.reset()
-        self.migrations = []
-        self._placed = placed = [None] * len(arrivals)
-        # policies that never read the live snapshot (the estimate-mode
-        # adapter) or never re-balance skip the O(outstanding-work)
-        # status walks entirely — the default replay path stays linear
-        uses_status = getattr(self.policy, "uses_status", True)
-        self._rebalance_enabled = getattr(self.policy, "wants_rebalance",
-                                          True)
-        id_to_index = self.fleet.id_to_index()
+        """Place and co-simulate one materialised stream.
+
+        Arrivals are replayed in ``(time, index)`` order; returns one
+        :class:`PlacedRequest` per arrival, in the stream's order, with
+        ``position`` its index in ``arrivals`` and ``start``/``finish``
+        its timing.
+        """
         order = sorted(range(len(arrivals)),
                        key=lambda i: (arrivals[i].time, i))
-        for i in order:
-            arrival = arrivals[i]
-            self._advance_before(arrival.time)
-            placed[i] = self._place_one(arrival, i, uses_status,
-                                        id_to_index)
-        self._advance_before(None)      # drain every device
+        placed = [None] * len(arrivals)
+
+        def on_record(entry, start, finish):
+            entry.position = order[entry.position]
+            entry.start = start
+            entry.finish = finish
+            placed[entry.position] = entry
+
+        self._run((arrivals[i] for i in order), on_record)
         return placed
 
     def run_stream(self, arrivals, on_record):
         """Place and co-simulate one *lazy* time-ordered stream in bounded
         memory.
 
-        The streaming twin of :meth:`run`: ``arrivals`` is any iterable
-        yielding :class:`~repro.workloads.arrivals.ArrivalRequest` in
-        nondecreasing time order (the scenario ``iter_arrivals``
-        contract — enforced here, since the iterator cannot be sorted
-        without materialising it).  Every device session must support
-        ``harvest()``; completed requests are handed to
-        ``on_record(entry, start, finish)`` in deterministic
-        completion-harvest order (global event order, ties by fleet
-        index) and then dropped, so live state is bounded by the
-        outstanding request set, never the stream length.  Returns the
-        number of requests placed.
+        ``arrivals`` is any iterable yielding
+        :class:`~repro.workloads.arrivals.ArrivalRequest` in nondecreasing
+        time order (the scenario ``iter_arrivals`` contract — enforced,
+        since the iterator cannot be sorted without materialising it).
+        Completed requests are handed to ``on_record(entry, start,
+        finish)`` in deterministic completion-harvest order (global event
+        order, ties by fleet index) and then dropped, so live state is
+        bounded by the outstanding request set, never the stream length.
+        ``entry.position`` is the request's index in the stream.  Returns
+        the number of requests placed.
         """
+        return self._run(arrivals, on_record)
+
+    def _run(self, arrivals, on_record):
+        """The loop both entries share: advance every device to the next
+        arrival, harvest, place; then drain and harvest the rest."""
         for j, session in enumerate(self.sessions):
             if not hasattr(session, "harvest"):
                 raise SimulationError(
-                    "device session {} ({}) does not support harvest(); "
-                    "streaming fleet runs need harvesting sessions".format(
+                    "device session {} ({}) does not support harvest(), "
+                    "which the run loop needs".format(
                         j, type(session).__name__))
         self.policy.reset()
         self.migrations = []
         self._placed = placed = {}      # key -> PlacedRequest, outstanding
+        # policies that never read the live snapshot (the estimate-mode
+        # adapter) or never re-balance skip the O(outstanding-work)
+        # status walks entirely — the default replay path stays linear
         uses_status = getattr(self.policy, "uses_status", True)
         self._rebalance_enabled = getattr(self.policy, "wants_rebalance",
                                           True)
@@ -448,8 +464,7 @@ class FleetSimulator:
         return position
 
     def _place_one(self, arrival, key, uses_status, id_to_index):
-        """Consult the policy and submit one arrival (shared by the
-        eager and streaming loops)."""
+        """Consult the policy and submit one arrival."""
         count = len(self.fleet)
         self.policy.observe_arrival(arrival)
         if arrival.device is not None:
@@ -496,20 +511,22 @@ class FleetSimulator:
         """Process all device events strictly before ``time`` (None =
         drain everything), in global time order, firing the re-balance
         hook after completions and idle transitions."""
+        sessions = self.sessions
+        rebalance = self._rebalance_enabled
+        horizon = _FOREVER if time is None else time
         while True:
+            # the earliest event before the horizon; strict < keeps the
+            # lowest fleet index on ties
             best = None
-            best_time = None
-            for j, session in enumerate(self.sessions):
+            best_time = horizon
+            for session in sessions:
                 next_time = session.peek()
-                if next_time is None:
-                    continue
-                if best_time is None or next_time < best_time:
-                    best, best_time = j, next_time
-            if best is None or (time is not None and best_time >= time):
+                if next_time is not None and next_time < best_time:
+                    best, best_time = session, next_time
+            if best is None:
                 return
-            event_time, finished = self.sessions[best].step()
-            if self._rebalance_enabled \
-                    and (finished or self.sessions[best].peek() is None):
+            event_time, finished = best.step()
+            if rebalance and (finished or best.peek() is None):
                 self._maybe_rebalance(event_time)
 
     # -- live state & re-balancing -----------------------------------------
@@ -532,13 +549,23 @@ class FleetSimulator:
         orders = self.policy.rebalance(self._status(now))
         if not orders:
             return
+        count = len(self.sessions)
         for migration in orders:
+            # validate the whole order before anything is withdrawn
+            entry = self._placed.get(migration.key)
+            if entry is None:
+                raise SchedulingError(
+                    "re-balance order names request {!r}, which is not "
+                    "outstanding".format(migration.key))
+            if not 0 <= migration.target < count:
+                raise SchedulingError(
+                    "re-balance order moves request {} to device {} of "
+                    "{}".format(migration.key, migration.target, count))
             if migration.source == migration.target:
                 raise SchedulingError(
                     "re-balance order moves request {} onto its own "
                     "device {}".format(migration.key, migration.source))
-            entry = self._placed[migration.key]
-            if entry is None or entry.index != migration.source:
+            if entry.index != migration.source:
                 raise SchedulingError(
                     "re-balance order for request {} does not match its "
                     "current device".format(migration.key))

@@ -235,7 +235,7 @@ class GPUSimulator:
           mid-chunk.
         * **elastic** mode is rejected: statically merged kernels cannot
           join a running launch — replay serialised merged launches instead
-          (see :mod:`repro.harness.open_system`).
+          (see :class:`repro.api.schemes.ElasticOpenSession`).
 
         Returns an :class:`ExecutionTrace` whose intervals carry arrival
         times, so turnaround and queueing delay are per-request.
@@ -269,7 +269,7 @@ class GPUSimulator:
             raise SimulationError(
                 "elastic kernels cannot join a running merged launch; "
                 "replay serialised merged launches instead "
-                "(harness.open_system)")
+                "(api.schemes.ElasticOpenSession)")
         if mode == ExecutionMode.ACCELOS and allocator is None:
             raise SimulationError(
                 "accelos open-system runs need an allocator callback")

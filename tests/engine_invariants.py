@@ -172,3 +172,92 @@ def walk_open_run(sim, mode, specs, allocator=None, withdraw=(),
         step()
     check_drained(sim)
     return sorted(finished, key=lambda run: run.index)
+
+
+# -- fleet level ---------------------------------------------------------------
+
+class FleetAudit:
+    """Fleet-level conservation, checked from outside the run loop.
+
+    :meth:`wrap` puts a proxy around every device session handed to a
+    :class:`~repro.sim.fleet.FleetSimulator`.  The proxies record every
+    submit, withdraw and harvest, and after every ``step()`` of any
+    session :meth:`check` asserts, against the sessions' own request
+    tables (:class:`~repro.api.schemes.GpuOpenSession`), that
+
+    * each outstanding request key is held by exactly one session, the
+      one the recorded submits and withdrawals put it on;
+    * placed = harvested + outstanding, the two disjoint.
+    """
+
+    def __init__(self):
+        self.sessions = []
+        self.home = {}          # outstanding key -> recorded session index
+        self.placed = set()
+        self.harvested = set()
+        self.steps = 0
+        self.withdrawals = 0
+
+    def wrap(self, sessions):
+        self.sessions = list(sessions)
+        return [_AuditedSession(self, index, session)
+                for index, session in enumerate(self.sessions)]
+
+    def check(self):
+        held = Counter()
+        for index, session in enumerate(self.sessions):
+            for key in session._entries:
+                held[key] += 1
+                assert self.home.get(key) == index, \
+                    "request {} is held by session {}, recorded on {}" \
+                    .format(key, index, self.home.get(key))
+        duplicated = [key for key, count in held.items() if count > 1]
+        assert not duplicated, "held by several sessions: {}".format(
+            duplicated)
+        outstanding = set(held)
+        assert outstanding == set(self.home), "outstanding keys"
+        assert not outstanding & self.harvested, "harvested twice"
+        assert self.placed == self.harvested | outstanding, \
+            "placed != harvested + outstanding"
+
+
+class _AuditedSession:
+    """Forwards the device-session protocol to one real session and
+    reports every state change to its :class:`FleetAudit`."""
+
+    def __init__(self, audit, index, session):
+        self._audit = audit
+        self._index = index
+        self._session = session
+
+    def __getattr__(self, name):
+        # queued, backlog_seconds, active_count, events_processed
+        return getattr(self._session, name)
+
+    def submit(self, key, arrival, effective_time):
+        self._session.submit(key, arrival, effective_time)
+        self._audit.placed.add(key)
+        self._audit.home[key] = self._index
+
+    def withdraw(self, key):
+        effective = self._session.withdraw(key)
+        del self._audit.home[key]
+        self._audit.withdrawals += 1
+        return effective
+
+    def peek(self):
+        return self._session.peek()
+
+    def step(self):
+        result = self._session.step()
+        self._audit.steps += 1
+        self._audit.check()
+        return result
+
+    def harvest(self):
+        finished = self._session.harvest()
+        for key, _start, _finish in finished:
+            assert self._audit.home.pop(key) == self._index, \
+                "request {} harvested from the wrong session".format(key)
+            self._audit.harvested.add(key)
+        return finished

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import (ExperimentSpec, RequestRecord, SchedulingScheme,
+from repro.api import (ExperimentSpec, SchedulingScheme,
                        arrival_rate_for_load, fleet_arrival_rate_for_load,
                        isolated_time, iter_runs, register_scheme, run,
                        scheme_names, unregister_scheme)
@@ -144,25 +144,41 @@ def test_resultset_get_requires_unique_match():
 
 # -- user-registered schemes everywhere ----------------------------------------
 
+class ToySession:
+    """Strict one-at-a-time service in arrival order: each request's
+    timing is fixed at submission, so the only events are completions."""
+
+    def __init__(self, device):
+        self.device = device
+        self._free_at = 0.0
+        self._pending = []          # (key, start, finish), finish order
+        self._finished = []
+
+    def submit(self, key, arrival, effective_time):
+        start = max(self._free_at, effective_time)
+        self._free_at = start + isolated_time(arrival.name, self.device)
+        self._pending.append((key, start, self._free_at))
+
+    def peek(self):
+        return self._pending[0][2] if self._pending else None
+
+    def step(self):
+        done = self._pending.pop(0)
+        self._finished.append(done)
+        return done[2], 1
+
+    def harvest(self):
+        finished, self._finished = self._finished, []
+        return finished
+
+
 class ToyScheme(SchedulingScheme):
     """Strict one-at-a-time service in arrival order (test toy)."""
 
     name = "toy-serial"
 
-    def open_records(self, arrivals, device, **knobs):
-        free_at = 0.0
-        records = [None] * len(arrivals)
-        order = sorted(range(len(arrivals)),
-                       key=lambda i: (arrivals[i].time, i))
-        for i in order:
-            a = arrivals[i]
-            start = max(free_at, a.time)
-            service = isolated_time(a.name, device)
-            records[i] = RequestRecord(a.name, a.time, start,
-                                       start + service, service,
-                                       tenant=a.tenant)
-            free_at = start + service
-        return records
+    def open_session(self, device, **knobs):
+        return ToySession(device)
 
 
 @pytest.fixture
@@ -202,6 +218,10 @@ def test_registered_toy_scheme_runs_through_golden_trace_harness(toy_scheme):
                                                           "toy-serial")
     assert len(records) == TRACE_COUNT
     assert [r.name for r in records] == [a.name for a in stream]
+    # open_records is derived from the session in the base class
+    derived = toy_scheme.open_records(stream, device)
+    assert [(r.start, r.finish) for r in derived] \
+        == [(r.start, r.finish) for r in records]
 
 
 def test_run_all_default_includes_user_registered_scheme(toy_scheme):
@@ -214,7 +234,7 @@ def test_run_all_default_includes_user_registered_scheme(toy_scheme):
 
 
 def test_open_only_scheme_cannot_break_closed_sweeps(toy_scheme):
-    """The toy implements only open_records: closed-sweep defaults skip
+    """The toy implements only open_session: closed-sweep defaults skip
     it (capability-filtered), and asking for it explicitly raises the
     actionable capability error, not a bare NotImplementedError."""
     from repro.api import closed_scheme_names, open_scheme_names

@@ -159,11 +159,22 @@ def test_attribution_metrics_require_the_flag():
     from repro.errors import SimulationError
     with pytest.raises(SimulationError, match="attribution"):
         ExperimentSpec(metrics=("antt", "tenant_occupancy"))
-    with pytest.raises(SimulationError, match="closed loop"):
-        ExperimentSpec(devices=({"id": "a", "base": "nvidia-k20m"},
-                                {"id": "b", "base": "nvidia-k20m"}),
-                       placements=("round-robin",),
-                       placement_mode="offline", attribution=True)
+
+
+def test_offline_placement_mode_is_attributed_like_auto():
+    """``placement_mode: "offline"`` is an alias of ``"auto"`` for
+    offline policies, so it runs the same loop and carries the same
+    audit."""
+    def audit(mode):
+        spec = ExperimentSpec(
+            scenario="multi-tenant", schemes=("accelos",), loads=(LOAD,),
+            seeds=(SEED,), count=12, attribution=True,
+            devices=({"id": "a", "base": "nvidia-k20m"},
+                     {"id": "b", "base": "nvidia-k20m"}),
+            placements=("round-robin",), placement_mode=mode,
+            metrics=("antt", "tenant_occupancy"))
+        return run(spec).get(scheme="accelos").attribution.to_dict()
+    assert audit("offline") == audit("auto")
 
 
 # -- the memory bound -----------------------------------------------------

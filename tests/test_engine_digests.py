@@ -11,8 +11,9 @@ drift, down to the last bit of a float (tuples are serialised through
 The corpus covers the regimes the engine's bookkeeping can get wrong:
 
 * ``grid/...`` — six scenarios x {baseline, ek, accelos} x loads
-  {0.5, 0.9, 1.3} x two seeds, 24 requests each, through the eager
-  per-scheme record path on one K20m;
+  {0.5, 0.9, 1.3} x two seeds, 24 requests each, through
+  ``scheme_records`` on one K20m (generated on the per-scheme batch
+  record paths, before every run went through ``FleetSimulator``);
 * ``stealing/...`` — a fast/slow work-stealing fleet, where queued
   runs are withdrawn from one device and replayed on another;
 * ``share-ratio/...`` — §2.2 weighted closed batches, through

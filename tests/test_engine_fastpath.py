@@ -1,12 +1,12 @@
 """The committed goldens, reproduced through both ways of driving the
 engine.
 
-Every open-system scheme can be run in two ways: in one batch call
-(``scheme_records``, which hands the whole stream to ``run_open``) and
-incrementally, one submit and one event at a time, through the scheme's
-``open_session`` (the plane streaming runs and online fleets use).  Both
-must reproduce the four committed golden traces exactly, not merely
-agree with each other.  The spec driver likewise has two ways to a
+Every open-system scheme can be run in two ways: in one call
+(``scheme_records``, which drives the scheme's ``open_session`` through
+the fleet run loop on a fleet of one) and by hand, one submit and one
+event at a time, through the same ``open_session``.  Both must reproduce
+the four committed golden traces exactly, not merely agree with each
+other.  The spec driver likewise has two ways to a
 result — computing each cell, or replaying it from the content-addressed
 cache — and both must reproduce the committed smoke-spec metrics.
 """

@@ -6,18 +6,24 @@ optional mid-run withdrawals) are driven one event at a time through
 :func:`tests.engine_invariants.walk_open_run`, which recomputes every
 running total from first principles after each step.  Without
 withdrawals the walked run must also reproduce the batch ``run_open``
-trace exactly.
+trace exactly.  At fleet level, :class:`tests.engine_invariants.FleetAudit`
+checks conservation across devices after every event of a work-stealing
+run.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api.kernels import base_spec, sharing_allocator
-from repro.api.schemes import AccelOSScheme
-from repro.cl import nvidia_k20m
-from repro.sim import ExecutionMode, GPUSimulator
-from repro.workloads import calibrated_model, from_name
-from tests.engine_invariants import check_invariants, walk_open_run
+from repro.accelos.placement import (AffinityPlacement,
+                                     OfflinePolicyAdapter,
+                                     WorkStealingRebalance)
+from repro.api.kernels import base_spec, isolated_time, sharing_allocator
+from repro.api.schemes import AccelOSScheme, scheme_from_name
+from repro.cl import derated_device, nvidia_k20m
+from repro.sim import DeviceFleet, ExecutionMode, FleetSimulator, GPUSimulator
+from repro.workloads import calibrated_model, from_name, trace_arrivals
+from tests.engine_invariants import (FleetAudit, check_invariants,
+                                     walk_open_run)
 
 COUNT = 24
 
@@ -123,3 +129,71 @@ def test_the_checker_notices_a_corrupted_running_total():
             check_invariants(sim)
         setattr(owner, attr, value)
         check_invariants(sim)
+
+
+# -- fleet level ---------------------------------------------------------------
+
+def _stealing_fleet():
+    return DeviceFleet([
+        ("fast", nvidia_k20m()),
+        ("slow", derated_device(nvidia_k20m(), "K20m-derated", 0.4)),
+    ])
+
+
+def _sticky_stealing():
+    """Work stealing around a sticky affinity placement: tenants pile up
+    on their home devices and idle devices steal from them (often under
+    baseline's firmware queue, rarely under accelOS, which admits fast)."""
+    return WorkStealingRebalance(
+        inner=OfflinePolicyAdapter(AffinityPlacement(penalty=0.5),
+                                   mode="live"),
+        penalty=1e-4)
+
+
+def _audited_run(fleet, scheme, policy, arrivals):
+    """One exact fleet run with every session wrapped in a FleetAudit;
+    returns ``(audit, placed)``."""
+    audit = FleetAudit()
+    scheme = scheme_from_name(scheme)
+    sessions = audit.wrap([scheme.open_session(member.device)
+                           for member in fleet])
+    simulator = FleetSimulator(fleet, sessions, policy, isolated_time)
+    return audit, simulator.run(arrivals)
+
+
+@settings(max_examples=12, deadline=None)
+@given(scheme=st.sampled_from(("baseline", "accelos")),
+       load=st.sampled_from((1.5, 2.5)),
+       seed=st.integers(min_value=0, max_value=2**16))
+def test_fleet_conservation_holds_after_every_event(scheme, load, seed):
+    fleet = _stealing_fleet()
+    arrivals = from_name("multi-tenant", seed=seed, load=load, count=COUNT,
+                         device=nvidia_k20m())
+    audit, placed = _audited_run(fleet, scheme, _sticky_stealing(),
+                                 arrivals)
+    assert audit.steps > 0
+    assert not audit.home
+    assert audit.placed == audit.harvested == set(range(COUNT))
+    assert [entry.arrival for entry in placed] == list(arrivals)
+
+
+def test_fleet_audit_sees_migrations_and_notices_a_duplicated_key():
+    # a one-tenant burst piled onto one device: the idle device steals
+    # from the firmware queue
+    fleet = DeviceFleet([("dev0", nvidia_k20m()), ("dev1", nvidia_k20m())])
+    arrivals = trace_arrivals([("sgemm", 1e-6 * i, "t0") for i in range(8)])
+    audit, placed = _audited_run(fleet, "baseline", _sticky_stealing(),
+                                 arrivals)
+    assert audit.withdrawals > 0
+    assert sum(entry.migrated for entry in placed) == audit.withdrawals
+
+    # a request held by two sessions at once fails the check
+    audit = FleetAudit()
+    sessions = [scheme_from_name("baseline").open_session(member.device)
+                for member in fleet]
+    wrapped = audit.wrap(sessions)
+    wrapped[0].submit(0, arrivals[0], arrivals[0].time)
+    audit.check()
+    sessions[1]._entries[0] = sessions[0]._entries[0]
+    with pytest.raises(AssertionError):
+        audit.check()

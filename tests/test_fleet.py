@@ -5,15 +5,15 @@ import pytest
 
 from repro.accelos import FleetRuntime
 from repro.accelos.placement import (AffinityPlacement, LeastLoadedPlacement,
-                                     RoundRobinPlacement, default_policies,
-                                     place_arrivals)
+                                     OfflinePolicyAdapter,
+                                     RoundRobinPlacement, default_policies)
 from repro.cl import NDRange, derated_device, nvidia_k20m
 from repro.errors import SchedulingError, SimulationError
 from repro.harness import (FleetOpenSystemExperiment, OpenSystemExperiment,
                            arrival_rate_for_load, fleet_arrival_rate_for_load,
                            isolated_time)
 from repro.kernelc import types as T
-from repro.sim import DeviceFleet
+from repro.sim import DeviceFleet, FleetSimulator
 from repro.workloads import (periodic_arrivals, poisson_arrivals,
                              trace_arrivals)
 
@@ -33,6 +33,33 @@ def homo_fleet(n=2):
 
 def constant_estimator(name, device):
     return 1.0
+
+
+class InstantSession:
+    """A device session whose requests finish the moment they are
+    submitted: it lets the run loop place a stream without simulating."""
+
+    def __init__(self):
+        self._finished = []
+
+    def submit(self, key, arrival, effective_time):
+        self._finished.append((key, effective_time, effective_time))
+
+    def peek(self):
+        return None
+
+    def harvest(self):
+        finished, self._finished = self._finished, []
+        return finished
+
+
+def place_offline(policy, arrivals, fleet, estimator):
+    """Offline placement decisions for one stream, through the run loop
+    in estimate mode (the offline pre-pass), one per arrival in order."""
+    simulator = FleetSimulator(
+        fleet, [InstantSession() for _ in fleet],
+        OfflinePolicyAdapter(policy, mode="estimate"), estimator)
+    return simulator.run(arrivals)
 
 
 # -- DeviceFleet construction -------------------------------------------------
@@ -81,8 +108,8 @@ def test_derated_device_is_slower():
 def test_round_robin_cycles():
     policy = RoundRobinPlacement()
     arrivals = periodic_arrivals(0.1, 6, names=("bfs",))
-    decisions = place_arrivals(policy, arrivals, homo_fleet().devices,
-                               estimator=constant_estimator)
+    decisions = place_offline(policy, arrivals, homo_fleet(),
+                              constant_estimator)
     assert [d.index for d in decisions] == [0, 1, 0, 1, 0, 1]
 
 
@@ -90,8 +117,7 @@ def test_least_loaded_prefers_idle_fast_device():
     fleet = hetero_fleet()
     policy = LeastLoadedPlacement()
     arrivals = trace_arrivals([("sgemm", 0.0)])
-    decisions = place_arrivals(policy, arrivals, fleet.devices,
-                               estimator=isolated_time)
+    decisions = place_offline(policy, arrivals, fleet, isolated_time)
     assert decisions[0].index == 0  # the fast device finishes it sooner
 
 
@@ -101,8 +127,7 @@ def test_least_loaded_spills_to_slow_device_under_backlog():
     # a burst at t=0: the fast device's backlog grows until the slow one
     # is the earlier finish for some request
     arrivals = trace_arrivals([("sgemm", 0.0)] * 8)
-    decisions = place_arrivals(policy, arrivals, fleet.devices,
-                               estimator=isolated_time)
+    decisions = place_offline(policy, arrivals, fleet, isolated_time)
     used = {d.index for d in decisions}
     assert used == {0, 1}
 
@@ -113,8 +138,7 @@ def test_affinity_keeps_tenant_home_and_charges_migration():
     # two tenants alternate; with the huge penalty nobody ever migrates
     arrivals = periodic_arrivals(0.01, 8, names=("bfs",),
                                  tenants=("t0", "t1"))
-    decisions = place_arrivals(policy, arrivals, fleet.devices,
-                               estimator=constant_estimator)
+    decisions = place_offline(policy, arrivals, fleet, constant_estimator)
     homes = {}
     for d in decisions:
         homes.setdefault(d.arrival.tenant, set()).add(d.index)
@@ -128,8 +152,7 @@ def test_affinity_migrates_when_home_is_swamped():
     # one tenant, its home device drowning in backlog: with the other
     # device idle the migration penalty is worth paying
     arrivals = trace_arrivals([("bfs", 0.0, "t0")] * 6)
-    decisions = place_arrivals(policy, arrivals, fleet.devices,
-                               estimator=constant_estimator)
+    decisions = place_offline(policy, arrivals, fleet, constant_estimator)
     migrated = [d for d in decisions if d.penalty > 0]
     assert migrated, "expected at least one migration"
     assert all(d.penalty == 0.1 for d in migrated)
@@ -143,15 +166,12 @@ def test_pinned_arrivals_bypass_policy():
         ("bfs", 0.1, None, "dev1"),
         ("bfs", 0.2),
     ])
-    decisions = place_arrivals(policy, arrivals, fleet.devices,
-                               estimator=constant_estimator,
-                               ids=fleet.id_to_index())
+    decisions = place_offline(policy, arrivals, fleet, constant_estimator)
     assert [d.index for d in decisions] == [1, 1, 0]
     assert [d.pinned for d in decisions] == [True, True, False]
     with pytest.raises(SchedulingError, match="unknown device"):
-        place_arrivals(policy, trace_arrivals([("bfs", 0.0, None, "nope")]),
-                       fleet.devices, estimator=constant_estimator,
-                       ids=fleet.id_to_index())
+        place_offline(policy, trace_arrivals([("bfs", 0.0, None, "nope")]),
+                      fleet, constant_estimator)
 
 
 def test_place_arrivals_conservation():
@@ -160,35 +180,32 @@ def test_place_arrivals_conservation():
     rate = fleet_arrival_rate_for_load(1.0, fleet)
     arrivals = poisson_arrivals(rate, 40, seed=5, tenants=6)
     for policy in default_policies().values():
-        decisions = place_arrivals(policy, arrivals, fleet.devices,
-                                   estimator=isolated_time,
-                                   ids=fleet.id_to_index())
+        decisions = place_offline(policy, arrivals, fleet, isolated_time)
         assert len(decisions) == len(arrivals)
         assert [d.arrival for d in decisions] == arrivals
         assert all(0 <= d.index < len(fleet) for d in decisions)
 
 
 def test_place_arrivals_rejects_bad_input():
-    fleet = homo_fleet()
-    with pytest.raises(SchedulingError):
-        place_arrivals(RoundRobinPlacement(), [], fleet.devices,
-                       estimator=constant_estimator)
-    with pytest.raises(SchedulingError):
-        place_arrivals(RoundRobinPlacement(),
-                       trace_arrivals([("bfs", 0.0)]), [],
-                       estimator=constant_estimator)
+    """An empty stream and an empty fleet are rejected by the loop."""
+    with pytest.raises(SimulationError, match="empty arrival stream"):
+        place_offline(RoundRobinPlacement(), [], homo_fleet(),
+                      constant_estimator)
+    with pytest.raises(SimulationError, match="at least one device"):
+        place_offline(RoundRobinPlacement(), trace_arrivals([("bfs", 0.0)]),
+                      DeviceFleet([]), constant_estimator)
 
 
 def test_placement_deterministic_across_runs():
     fleet = hetero_fleet()
     rate = fleet_arrival_rate_for_load(1.5, fleet)
     for policy_name in default_policies():
-        a = place_arrivals(default_policies()[policy_name],
-                           poisson_arrivals(rate, 30, seed=9, tenants=4),
-                           fleet.devices, estimator=isolated_time)
-        b = place_arrivals(default_policies()[policy_name],
-                           poisson_arrivals(rate, 30, seed=9, tenants=4),
-                           fleet.devices, estimator=isolated_time)
+        a = place_offline(default_policies()[policy_name],
+                          poisson_arrivals(rate, 30, seed=9, tenants=4),
+                          fleet, isolated_time)
+        b = place_offline(default_policies()[policy_name],
+                          poisson_arrivals(rate, 30, seed=9, tenants=4),
+                          fleet, isolated_time)
         assert [(d.index, d.penalty) for d in a] \
             == [(d.index, d.penalty) for d in b]
 
@@ -199,10 +216,8 @@ def test_policy_reuse_is_reproducible():
     fleet = homo_fleet()
     arrivals = poisson_arrivals(50.0, 20, seed=2, tenants=3)
     for policy in default_policies().values():
-        first = place_arrivals(policy, arrivals, fleet.devices,
-                               estimator=constant_estimator)
-        second = place_arrivals(policy, arrivals, fleet.devices,
-                                estimator=constant_estimator)
+        first = place_offline(policy, arrivals, fleet, constant_estimator)
+        second = place_offline(policy, arrivals, fleet, constant_estimator)
         assert [d.index for d in first] == [d.index for d in second]
 
 
@@ -254,10 +269,9 @@ def test_homogeneous_fleet_fairness_no_worse_than_single_device():
     arrivals = poisson_arrivals(rate, 24, seed=8)
     result = experiment.run(arrivals, "accelos", RoundRobinPlacement())
 
-    decisions = experiment.place(arrivals, RoundRobinPlacement())
     single = OpenSystemExperiment(nvidia_k20m())
     for index, member in enumerate(fleet):
-        sub = [d.arrival for d in decisions if d.index == index]
+        sub = [d.arrival for d in result.decisions if d.index == index]
         if not sub:
             continue
         solo = single.run(sub, "accelos")
@@ -286,11 +300,9 @@ def test_fleet_migration_penalty_delays_start():
     policy = AffinityPlacement(penalty=5e-3)
     # one tenant's home backlog forces a migration mid-stream
     arrivals = trace_arrivals([("sgemm", 0.0, "t0")] * 4)
-    decisions = experiment.place(arrivals, policy)
-    migrated = [i for i, d in enumerate(decisions) if d.penalty > 0]
+    result = experiment.run(arrivals, "baseline", policy)
+    migrated = [i for i, d in enumerate(result.decisions) if d.penalty > 0]
     assert migrated
-    result = experiment.run(arrivals, "baseline",
-                            AffinityPlacement(penalty=5e-3))
     for i in migrated:
         record = result.overall.records[i]
         # the buffers move before the kernel can start on the new device

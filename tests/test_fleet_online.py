@@ -1,12 +1,12 @@
 """Closed-loop fleet co-simulation: equivalence, online policies,
 re-balancing, and the new spec surface.
 
-The backward-compatibility contract of the refactor (ISSUE 5): driving
-the closed loop with a legacy offline policy in estimate mode must
-reproduce the historical offline pre-pass — placement decisions AND
-simulated records — **bit-identically**, for every scheme.  On top of
-that, the online protocol (live loads, burst detection, work stealing)
-is exercised directly.
+The backward-compatibility contract: driving the closed loop with an
+offline policy in estimate mode reproduces the offline pre-pass —
+placement decisions AND simulated records — **bit-identically**, for
+every scheme (checked against digests frozen on the pre-pass before it
+was folded into the loop).  On top of that, the online protocol (live
+loads, burst detection, work stealing) is exercised directly.
 """
 
 import pytest
@@ -16,18 +16,21 @@ from repro.accelos.placement import (AffinityPlacement,
                                      LeastLoadedPlacement,
                                      OfflinePolicyAdapter,
                                      RoundRobinPlacement,
-                                     WorkStealingRebalance, place_arrivals)
+                                     WorkStealingRebalance)
 from repro.api import ExperimentSpec, run
 from repro.api.placements import (is_online_placement, placement_from_name,
                                   placement_names, rebalancer_names)
-from repro.api.schemes import scheme_from_name
 from repro.cl import derated_device, nvidia_k20m
 from repro.errors import SchedulingError, SimulationError
 from repro.harness import (FleetOpenSystemExperiment,
                            fleet_arrival_rate_for_load, isolated_time)
-from repro.sim import DeviceFleet, ExecutionMode, GPUSimulator
+from repro.api.schemes import scheme_from_name
+from repro.sim import (DeviceFleet, ExecutionMode, FleetSimulator,
+                       GPUSimulator, MigrationOrder)
 from repro.workloads import trace_arrivals
 from repro.workloads.scenarios import scenario
+from tests.test_engine_digests import _fleet_result_payload, _stored, digest
+from tests.test_fleet import place_offline
 
 
 def hetero_fleet():
@@ -58,22 +61,16 @@ OFFLINE_POLICIES = (RoundRobinPlacement, LeastLoadedPlacement,
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("policy_cls", OFFLINE_POLICIES)
 def test_loop_reproduces_offline_path_bit_identically(scheme, policy_cls):
-    """The refactor's contract: the closed loop driven by a legacy policy
-    (estimate mode, the 'auto' default) reproduces the offline pre-pass's
-    decisions and records bit-for-bit."""
+    """The closed loop driven by an offline policy (estimate mode, the
+    'auto' default) reproduces the offline pre-pass's decisions and
+    records bit-for-bit: the ``offline/...`` digests of
+    tests/test_engine_digests.py were generated on the pre-pass itself,
+    over this same stream."""
     fleet = hetero_fleet()
-    arrivals = bursty_stream(fleet)
-    experiment = FleetOpenSystemExperiment(fleet)
-    offline = experiment._run_offline(arrivals, scheme_from_name(scheme),
-                                      policy_cls())
-    loop = experiment.run(arrivals, scheme, policy_cls())
-    assert [(d.index, d.penalty, d.pinned) for d in offline.decisions] \
-        == [(d.index, d.penalty, d.pinned) for d in loop.decisions]
-    assert [(r.start, r.finish) for r in offline.overall.records] \
-        == [(r.start, r.finish) for r in loop.overall.records]
-    assert offline.overall.unfairness == loop.overall.unfairness
-    assert offline.overall.antt == loop.overall.antt
-    assert offline.device_share == loop.device_share
+    loop = FleetOpenSystemExperiment(fleet).run(bursty_stream(fleet),
+                                                scheme, policy_cls())
+    case = "offline/{}/{}".format(scheme, policy_cls.name)
+    assert digest(_fleet_result_payload(loop)) == _stored()[case]
     assert loop.rebalances == 0
 
 
@@ -225,6 +222,62 @@ def test_work_stealing_never_touches_pinned_requests():
     assert result.device_share == {"dev0": 1.0, "dev1": 0.0}
 
 
+class MalformedStealing(WorkStealingRebalance):
+    """Work stealing whose first order is rewritten by ``corrupt``; both
+    orders are kept (``original``, ``sent``)."""
+
+    def __init__(self, corrupt):
+        super().__init__(
+            inner=OfflinePolicyAdapter(AffinityPlacement(penalty=0.5),
+                                       mode="live"),
+            penalty=1e-4)
+        self.corrupt = corrupt
+        self.original = self.sent = None
+
+    def rebalance(self, status):
+        orders = super().rebalance(status)
+        if orders and self.original is None:
+            self.original = orders[0]
+            self.sent = self.corrupt(orders[0])
+            return (self.sent,)
+        return orders
+
+
+MALFORMED_ORDERS = {
+    "unknown-key": lambda o: MigrationOrder("nope", o.source, o.target,
+                                            o.penalty),
+    "target-out-of-range": lambda o: MigrationOrder(o.key, o.source, 5,
+                                                    o.penalty),
+    "negative-target": lambda o: MigrationOrder(o.key, o.source, -1,
+                                                o.penalty),
+}
+
+
+@pytest.mark.parametrize("entry", ("run", "run_stream"))
+@pytest.mark.parametrize("malformed", sorted(MALFORMED_ORDERS))
+def test_malformed_migration_orders_are_rejected_before_withdrawal(
+        malformed, entry):
+    fleet = homo_fleet()
+    sessions = [scheme_from_name("baseline").open_session(member.device)
+                for member in fleet]
+    policy = MalformedStealing(MALFORMED_ORDERS[malformed])
+    simulator = FleetSimulator(fleet, sessions, policy, isolated_time)
+    arrivals = trace_arrivals([("sgemm", 1e-6 * i, "t0")
+                               for i in range(8)])
+    with pytest.raises(SchedulingError) as excinfo:
+        if entry == "run":
+            simulator.run(arrivals)
+        else:
+            simulator.run_stream(iter(arrivals), lambda *record: None)
+    # the error names the request of the order it rejects
+    assert "request {!r}".format(policy.sent.key) in str(excinfo.value) \
+        or "request {} ".format(policy.sent.key) in str(excinfo.value)
+    # nothing was withdrawn: the request is still queued on its source
+    source = sessions[policy.original.source]
+    assert policy.original.key in [q.key for q in source.queued()]
+    assert simulator.migrations == []
+
+
 def test_spec_rebalance_runs_through_the_driver():
     spec = ExperimentSpec(
         scenario="multi-tenant", schemes=("accelos",), loads=(1.5,),
@@ -295,11 +348,12 @@ def test_online_policies_registered_and_flagged():
 
 
 def test_place_arrivals_rejects_online_policies():
-    fleet = homo_fleet()
+    """Only offline policies have an offline pre-pass: the estimate-mode
+    adapter refuses an online one."""
     with pytest.raises(SchedulingError, match="closed-loop-only"):
-        place_arrivals(placement_from_name("burst-aware"),
-                       trace_arrivals([("bfs", 0.0)]), fleet.devices,
-                       estimator=isolated_time)
+        place_offline(placement_from_name("burst-aware"),
+                      trace_arrivals([("bfs", 0.0)]), homo_fleet(),
+                      isolated_time)
 
 
 def test_spec_round_trips_new_fields():
@@ -323,7 +377,7 @@ def test_spec_validates_new_fields_eagerly():
         ExperimentSpec(devices=fleet_devices,
                        placements=("burst-aware",),
                        placement_mode="offline")
-    with pytest.raises(SimulationError, match="closed loop"):
+    with pytest.raises(SimulationError, match="rules out"):
         ExperimentSpec(devices=fleet_devices,
                        placement_mode="offline",
                        rebalance="work-stealing")
@@ -344,8 +398,8 @@ def constant_estimator(name, device):
 
 
 def test_pinned_placement_rehomes_tenant_and_pays_migration():
-    """place_arrivals consults migration_penalty for pinned decisions
-    too: a hard pin moves the tenant's buffers, so (a) the pinned
+    """The offline pre-pass consults migration_penalty for pinned
+    decisions too: a hard pin moves the tenant's buffers, so (a) the pinned
     request itself pays the transfer when its home is elsewhere, and
     (b) the tenant is re-homed onto the pinned device, changing what a
     *later* unpinned request is charged.  Intended behaviour — the home
@@ -357,9 +411,7 @@ def test_pinned_placement_rehomes_tenant_and_pays_migration():
         ("bfs", 0.1, "t0", "dev1"),    # pinned off-home: pays + re-homes
         ("bfs", 0.2, "t0"),            # load draws it back to dev0...
     ])
-    decisions = place_arrivals(policy, arrivals, fleet.devices,
-                               estimator=constant_estimator,
-                               ids=fleet.id_to_index())
+    decisions = place_offline(policy, arrivals, fleet, constant_estimator)
     assert [d.index for d in decisions] == [0, 1, 0]
     assert [d.pinned for d in decisions] == [False, True, False]
     # the pinned request paid the buffer transfer...
@@ -379,9 +431,7 @@ def test_pinned_rehoming_charges_later_unpinned_request():
         ("bfs", 0.0001, "u1"), ("bfs", 0.0002, "u2"),  # background load
         ("bfs", 0.0003, "t0"),         # backlog draws t0 off its home
     ])
-    decisions = place_arrivals(policy, arrivals, fleet.devices,
-                               estimator=constant_estimator,
-                               ids=fleet.id_to_index())
+    decisions = place_offline(policy, arrivals, fleet, constant_estimator)
     assert decisions[0].penalty == 0.0   # first sight: no old home to leave
     assert decisions[0].index == 1
     # without the pin, t0's first request would have homed on dev0 and
@@ -408,10 +458,9 @@ def test_pinned_migration_delay_applies_in_simulation():
         assert pinned_record.start >= 0.001 + 5e-3 - 1e-12
 
 
-# -- place_arrivals estimator memoisation (satellite perf fix) -----------------
+# -- offline pre-pass estimator memoisation ------------------------------------
 
 def test_place_arrivals_memoises_estimator_calls():
-    fleet = homo_fleet()
     calls = []
 
     def counting_estimator(name, device):
@@ -419,13 +468,14 @@ def test_place_arrivals_memoises_estimator_calls():
         return 1.0
 
     arrivals = trace_arrivals([("bfs", 0.001 * i) for i in range(50)])
-    place_arrivals(LeastLoadedPlacement(), arrivals, fleet.devices,
-                   estimator=counting_estimator)
+    fleet = homo_fleet()
+    place_offline(LeastLoadedPlacement(), arrivals, fleet,
+                  counting_estimator)
     # one estimate per (kernel, device), not one per request per device
     assert len(calls) == len(fleet)
 
     calls.clear()
-    place_arrivals(RoundRobinPlacement(), arrivals, fleet.devices,
-                   estimator=counting_estimator)
+    fleet = homo_fleet()
+    place_offline(RoundRobinPlacement(), arrivals, fleet, counting_estimator)
     # cost-blind policy: only the busy-until update needs estimates
     assert len(calls) == len(fleet)

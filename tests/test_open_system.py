@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cl import nvidia_k20m
-from repro.errors import SimulationError
+from repro.errors import SchedulingError, SimulationError
 from repro.harness.open_system import (OpenSystemExperiment,
                                        arrival_rate_for_load,
                                        sharing_allocator)
@@ -351,3 +351,28 @@ def test_open_experiment_rejects_bad_input():
         experiment.run([], "accelos")
     with pytest.raises(SimulationError, match="unknown scheme"):
         experiment.run(poisson_arrivals(10.0, 2), "warp")
+
+
+def test_single_device_honours_pins_to_itself_only():
+    """A single device is a fleet of one whose member id is the device
+    name: a pin to that name is honoured, a pin to any other device is
+    rejected exactly as on a fleet."""
+    device = nvidia_k20m()
+    experiment = OpenSystemExperiment(device)
+    own = experiment.run(trace_arrivals([("bfs", 0.0, None, device.name),
+                                         ("sgemm", 0.001)]), "accelos")
+    assert own.count == 2
+    with pytest.raises(SchedulingError, match="unknown device 'other'"):
+        experiment.run(trace_arrivals([("bfs", 0.0, None, "other")]),
+                       "accelos")
+
+
+@pytest.mark.parametrize("scheme", ("baseline", "accelos"))
+def test_every_run_counts_engine_events(scheme):
+    device = nvidia_k20m()
+    arrivals = poisson_arrivals(50.0, 6, seed=4)
+    exact = OpenSystemExperiment(device)
+    exact.run(arrivals, scheme)
+    streamed = OpenSystemExperiment(device)
+    streamed.run_stream(iter(arrivals), scheme)
+    assert exact.events_processed == streamed.events_processed > 0

@@ -153,12 +153,16 @@ def test_streaming_fleet_run_matches_exact_metrics():
                                  rel=SUMMATION_RTOL), (placement, metric)
 
 
-def test_streaming_rejects_offline_placement_mode():
-    from repro.errors import SimulationError
-    with pytest.raises(SimulationError, match="closed loop"):
-        ExperimentSpec(
+def test_streaming_accepts_offline_placement_mode():
+    """``placement_mode: "offline"`` is an alias of ``"auto"`` for
+    offline policies: it streams through the same loop, bit for bit."""
+    def metrics(mode):
+        spec = ExperimentSpec(
             scenario="steady", schemes=("accelos",), count=6,
             devices=({"id": "a", "base": "nvidia-k20m"},
                      {"id": "b", "base": "nvidia-k20m"}),
             placements=("least-loaded",),
-            placement_mode="offline", metrics_mode="streaming")
+            placement_mode=mode, metrics_mode="streaming")
+        results = run(spec)
+        return [results.metric(name) for name in ("antt", "p99_slowdown")]
+    assert metrics("offline") == metrics("auto")
